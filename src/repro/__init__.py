@@ -41,7 +41,7 @@ from repro.primitives import (
     VictimHandle,
 )
 from repro.pathfinder import ControlFlowGraph, PathSearch
-from repro.harness import TrialReport, TrialRunner, run_trials, trial_rng
+from repro.harness import TrialReport, run_trials, trial_rng
 from repro.replay import ReplayEngine, ReplayStats
 
 __version__ = "1.0.0"
@@ -64,7 +64,6 @@ __all__ = [
     "SKYLAKE",
     "TARGET_MACHINES",
     "TrialReport",
-    "TrialRunner",
     "VictimHandle",
     "__version__",
     "run_trials",

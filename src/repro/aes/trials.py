@@ -165,19 +165,7 @@ class VictimTrialContext:
         self.victim = AesVictim(spec.key, data_path=spec.data_path)
         self.entry = self.victim.program.address_of("aes_encrypt")
         self.machine = Machine(spec.config)
-        # A shard worker may have a checkpoint broadcast to it through a
-        # shared-memory slab (see repro.batch.shard); adopting it skips
-        # re-deriving the pristine state and keeps every shard restoring
-        # from the exact same bits.
-        from repro.batch.shard import current_snapshot
-
-        broadcast = current_snapshot()
-        if (broadcast is not None
-                and broadcast.phr_capacity == spec.config.phr_capacity):
-            self.machine.restore(broadcast)
-            self.checkpoint = broadcast
-        else:
-            self.checkpoint = self.machine.snapshot()
+        self.checkpoint = self.machine.snapshot()
         self._batches: Dict[int, tuple] = {}
 
     def batch_for(self, width: int) -> tuple:
@@ -261,18 +249,12 @@ def run_victim_signatures(
     chunk_size: Optional[int] = None,
     seed: int = DEFAULT_SEED,
     vectorize: Optional[int] = None,
-    shard_workers: Optional[int] = None,
-    shard_state=None,
 ) -> TrialReport:
     """Fan per-plaintext victim runs out, optionally batch-vectorized.
 
     ``vectorize=N`` routes blocks of N trials through
     :func:`victim_signature_batch`; the report is bit-identical to the
-    scalar sweep either way.  ``shard_workers=W`` additionally splits
-    every vectorize block across W fork workers (see
-    :func:`repro.harness.run_trials`); pass a pristine
-    :class:`~repro.cpu.machine.MachineSnapshot` as ``shard_state`` to
-    broadcast the checkpoint to the shards through shared memory.
+    scalar sweep either way, and for every ``workers`` count.
     """
     return run_trials(
         victim_signature_trial, count,
@@ -280,7 +262,6 @@ def run_victim_signatures(
         seed=seed, workers=workers, chunk_size=chunk_size,
         vectorize=vectorize,
         batch_trial=victim_signature_batch if vectorize else None,
-        shard_workers=shard_workers, shard_state=shard_state,
     )
 
 

@@ -30,7 +30,6 @@ from repro.batch.engine import (
     BatchStateError,
     supports_config,
 )
-from repro.batch.shard import SnapshotSlab, current_snapshot, shard_ranges
 
 __all__ = [
     "BatchMachine",
@@ -41,11 +40,8 @@ __all__ = [
     "GshareTournamentBatchBackend",
     "IntelBatchBackend",
     "M1BatchBackend",
-    "SnapshotSlab",
     "batch_backend_for",
     "batch_backend_ids",
-    "current_snapshot",
     "register_batch_backend",
-    "shard_ranges",
     "supports_config",
 ]

@@ -5,14 +5,16 @@ thousands of *independent* trials: AES leaks per plaintext, per-image
 recoveries, mitigation arms, probe rounds.  This package gives them one
 execution engine:
 
-* :func:`run_trials` / :class:`TrialRunner` -- fan independent trials out
-  over a ``ProcessPoolExecutor`` (or run them inline with ``workers=1``)
+* :func:`run_trials` -- fan independent trials out over a
+  ``ProcessPoolExecutor`` (or run them inline with ``workers=1``)
   with per-trial forked :class:`~repro.utils.rng.DeterministicRng`
   streams, chunked scheduling, and progress/failure accounting.  The
   determinism contract pins ``workers=N`` bit-identical to ``workers=1``.
   Pass ``vectorize=N`` with a ``batch_trial`` callable to run blocks of
   N trials through one :class:`~repro.batch.BatchMachine` sweep instead
-  of N scalar trials (with automatic per-block scalar fallback).
+  of N scalar trials (with automatic per-block scalar fallback);
+  ``workers=W`` with ``vectorize=N`` is the one multi-process path for
+  batch sweeps, bit-identical to the serial run.
 * :meth:`repro.cpu.machine.Machine.snapshot` /
   :meth:`~repro.cpu.machine.Machine.restore` (the cpu layer's half of the
   harness) reset a trained machine between trials in O(changed-state)
@@ -29,7 +31,6 @@ from repro.harness.runner import (
     TrialError,
     TrialFailure,
     TrialReport,
-    TrialRunner,
     WORKERS_ENV,
     resolve_workers,
     run_trials,
@@ -41,7 +42,6 @@ __all__ = [
     "TrialError",
     "TrialFailure",
     "TrialReport",
-    "TrialRunner",
     "WORKERS_ENV",
     "resolve_workers",
     "run_trials",

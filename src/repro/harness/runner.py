@@ -28,6 +28,9 @@ degrades to the serial path (``TrialReport.parallel`` says which ran).
 Scheduling is chunked: ``chunk_size`` trials ship per task to amortize
 pool round-trips, and failures are captured per trial -- a raising trial
 records a :class:`TrialFailure` instead of poisoning its whole chunk.
+This pool is the package's one process fan-out: a batch-vectorized
+sweep (``vectorize=N``) parallelizes by shipping whole width-``N``
+blocks per chunk to the same workers.
 """
 
 from __future__ import annotations
@@ -140,10 +143,6 @@ class TrialReport:
     elapsed: float = 0.0
     #: Batch width the vectorized fast path ran with (1 = scalar trials).
     vectorize: int = 1
-    #: Fork workers the vectorize blocks were sharded across (1 = the
-    #: whole batch ran in this process, including the no-``fork``
-    #: degrade).
-    shard_workers: int = 1
     #: Per-trial wall-clock seconds ordered by trial index (``None`` for
     #: trials that never ran).  Trials in a vectorized block share the
     #: block's elapsed time evenly (the scheduler cannot see inside one
@@ -177,15 +176,18 @@ class TrialReport:
         return summarize_timings(self.timings)
 
 
-def _chunk_indices(count: int, chunk_size: Optional[int],
-                   workers: int) -> List[range]:
+def _chunk_indices(count: int, chunk_size: Optional[int], workers: int,
+                   width: int) -> List[range]:
     """Split ``range(count)`` into contiguous scheduling chunks.
 
     The default aims at ~4 chunks per worker so a slow chunk cannot
-    serialize the tail, while keeping pool round-trips amortized.
+    serialize the tail, while keeping pool round-trips amortized.  It is
+    rounded up to a multiple of the batch ``width``, because a chunk
+    cuts every vectorize block it holds to its own size.
     """
     if chunk_size is None:
         chunk_size = max(1, -(-count // (4 * workers)))
+        chunk_size = -(-chunk_size // width) * width
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
     return [range(low, min(low + chunk_size, count))
@@ -264,70 +266,6 @@ def _worker_initialize(setup: Optional[Callable], spec: Any) -> None:
     _WORKER_CONTEXT = setup(spec) if setup is not None else None
 
 
-def _shard_worker_initialize(setup: Optional[Callable], spec: Any,
-                             slab_name: Optional[str]) -> None:
-    """Shard-pool initializer: attach the snapshot slab, then ``setup``.
-
-    The slab attach runs first so ``setup`` can pick the broadcast
-    snapshot up through :func:`repro.batch.shard.current_snapshot`
-    instead of rebuilding (re-provisioning, re-training) it from the
-    spec.
-    """
-    global _WORKER_CONTEXT
-    if slab_name is not None:
-        from repro.batch.shard import set_current_snapshot
-
-        set_current_snapshot(slab_name)
-    _WORKER_CONTEXT = setup(spec) if setup is not None else None
-
-
-def _run_chunk_sharded(pool: ProcessPoolExecutor, trial: Callable,
-                       batch_trial: Callable, indices: range, seed: int,
-                       width: int, shard_workers: int) -> List[tuple]:
-    """Run one chunk's vectorize blocks split across the shard pool.
-
-    Each width-``width`` block becomes up to ``shard_workers`` contiguous
-    sub-blocks, one batch call each, running concurrently in the fork
-    workers.  Sub-block boundaries cannot change results: the batched
-    determinism contract (each trial depends only on ``(spec, index,
-    rng)``) makes any contiguous split replica-for-replica identical to
-    the unsharded block, which ``tests/test_harness.py`` pins.
-    """
-    from repro.batch.shard import shard_ranges
-
-    results: List[tuple] = []
-    index_list = list(indices)
-    for low in range(0, len(index_list), width):
-        block = index_list[low:low + width]
-        futures = []
-        for start, stop in shard_ranges(len(block), shard_workers):
-            sub = block[start:stop]
-            try:
-                future = pool.submit(_worker_run_chunk, trial, sub, seed,
-                                     batch_trial, len(sub))
-            except BrokenProcessPool:
-                results.extend(_broken_shard_records(sub))
-                continue
-            futures.append((future, sub))
-        for future, sub in futures:
-            try:
-                results.extend(future.result())
-            except BrokenProcessPool:
-                results.extend(_broken_shard_records(sub))
-    return results
-
-
-def _broken_shard_records(indices: Sequence[int]) -> List[tuple]:
-    return [
-        (index, False,
-         ("BrokenProcessPool: shard worker died before its "
-          "sub-block completed",
-          "".join(traceback.format_stack())),
-         None)
-        for index in indices
-    ]
-
-
 def _worker_run_chunk(trial: Callable, indices: range, seed: int,
                       batch_trial: Optional[Callable] = None,
                       vectorize: int = 1) -> List[tuple]:
@@ -358,8 +296,6 @@ def run_trials(
     vectorize: Optional[int] = None,
     batch_trial: Optional[Callable[[Any, List[int], List[DeterministicRng]],
                                    Sequence[Any]]] = None,
-    shard_workers: Optional[int] = None,
-    shard_state: Any = None,
 ) -> TrialReport:
     """Run ``count`` independent trials, optionally across processes.
 
@@ -378,18 +314,10 @@ def run_trials(
     semantic reference and the per-block fallback when a batch call
     raises or returns the wrong number of values.
 
-    Process sharding: ``shard_workers=W`` (requires the vectorized fast
-    path, mutually exclusive with ``workers > 1``) splits every
-    vectorize block into up to ``W`` contiguous sub-blocks and runs them
-    concurrently on a persistent ``fork`` pool -- the phase-1 serial
-    interpretation of a :class:`~repro.batch.BatchMachine` block is the
-    Amdahl wall this attacks.  ``shard_state`` (a
-    :class:`~repro.cpu.machine.MachineSnapshot`) is broadcast to the
-    workers once through a shared-memory :class:`~repro.batch.shard.
-    SnapshotSlab`; worker-side ``setup`` picks it up via
-    :func:`repro.batch.shard.current_snapshot` instead of re-training.
-    Platforms without ``fork`` degrade to the inline path
-    (``TrialReport.shard_workers`` reports what actually ran).
+    ``workers=W`` plus ``vectorize=N`` is the one multi-process path: it
+    fans chunks of whole width-``N`` blocks (the default chunk is a
+    multiple of ``N``) out over ``W`` ``fork`` workers, and the report is
+    bit-identical to the serial ``workers=1`` run.
     """
     if count < 0:
         raise ValueError(f"trial count must be >= 0, got {count}")
@@ -406,18 +334,6 @@ def run_trials(
     if width is None:
         width = 1
     workers = resolve_workers(workers)
-    shards = (_parse_workers(shard_workers, "shard_workers argument")
-              if shard_workers is not None else 1)
-    if shards > 1:
-        if workers > 1:
-            raise ValueError(
-                "workers and shard_workers cannot both exceed 1: shard "
-                "vectorize blocks across forks OR fan chunks out across "
-                "trial workers, not both")
-        if batch_trial is None:
-            raise ValueError(
-                "shard_workers requires the vectorized fast path "
-                "(vectorize + batch_trial)")
     start = time.perf_counter()
     values: List[Any] = [None] * count
     timings: List[Optional[float]] = [None] * count
@@ -427,7 +343,7 @@ def run_trials(
         return TrialReport(values=values, workers=workers, parallel=False,
                            vectorize=width)
 
-    chunks = _chunk_indices(count, chunk_size, workers)
+    chunks = _chunk_indices(count, chunk_size, workers, width)
     mp_context = _fork_context() if workers > 1 else None
     parallel = workers > 1 and mp_context is not None
     touched = [False] * count
@@ -453,43 +369,7 @@ def run_trials(
             for index in chunk
         ]
 
-    shard_context = _fork_context() if shards > 1 else None
-    sharded = shards > 1 and shard_context is not None
-
-    if sharded:
-        slab = None
-        slab_name = None
-        if shard_state is not None:
-            from repro.batch.shard import SnapshotSlab, slabs_supported
-
-            if slabs_supported():
-                slab = SnapshotSlab.create(shard_state)
-                slab_name = slab.name
-        pool = ProcessPoolExecutor(
-            max_workers=shards,
-            mp_context=shard_context,
-            initializer=_shard_worker_initialize,
-            initargs=(setup, spec, slab_name),
-        )
-        done = 0
-        try:
-            for chunk in chunks:
-                try:
-                    absorb(_run_chunk_sharded(pool, trial, batch_trial,
-                                              chunk, seed, width, shards))
-                except BrokenProcessPool:
-                    absorb(broken_pool_records(chunk))
-                done += len(chunk)
-                if progress is not None:
-                    progress(done, count)
-        except KeyboardInterrupt:
-            interrupted = True
-        finally:
-            pool.shutdown(wait=not interrupted, cancel_futures=interrupted)
-            if slab is not None:
-                slab.close()
-                slab.unlink()
-    elif not parallel:
+    if not parallel:
         context = setup(spec) if setup is not None else None
         done = 0
         try:
@@ -580,43 +460,9 @@ def run_trials(
         parallel=parallel,
         elapsed=time.perf_counter() - start,
         vectorize=width,
-        shard_workers=shards if sharded else 1,
         timings=timings,
         interrupted=interrupted,
     )
     if failures and on_error == "raise":
         raise TrialError(failures)
     return report
-
-
-@dataclass
-class TrialRunner:
-    """A reusable :func:`run_trials` configuration.
-
-    Benchmarks that fan out several sweeps against the same provisioned
-    context keep one runner and call :meth:`run` per sweep.
-    """
-
-    setup: Optional[Callable[[Any], Any]] = None
-    spec: Any = None
-    seed: int = DEFAULT_SEED
-    workers: Optional[int] = None
-    chunk_size: Optional[int] = None
-    on_error: str = "raise"
-    vectorize: Optional[int] = None
-    batch_trial: Optional[Callable] = None
-    shard_workers: Optional[int] = None
-    shard_state: Any = None
-
-    def run(self, trial: Callable, count: int,
-            progress: Optional[Callable[[int, int], None]] = None,
-            ) -> TrialReport:
-        """Fan ``trial`` out under this runner's configuration."""
-        return run_trials(
-            trial, count,
-            setup=self.setup, spec=self.spec, seed=self.seed,
-            workers=self.workers, chunk_size=self.chunk_size,
-            on_error=self.on_error, progress=progress,
-            vectorize=self.vectorize, batch_trial=self.batch_trial,
-            shard_workers=self.shard_workers, shard_state=self.shard_state,
-        )

@@ -13,6 +13,7 @@ conditional branch predictor read/writable "as easy as memory":
 """
 
 from repro.primitives.errors import (
+    AmbiguousDoubletError,
     DoubletCountError,
     HistoryLengthError,
     PrimitiveProtocolError,
@@ -25,6 +26,7 @@ from repro.primitives.read_pht import PhtReader
 from repro.primitives.extended_read import ExtendedPhrReader, TakenBranch
 
 __all__ = [
+    "AmbiguousDoubletError",
     "DoubletCountError",
     "ExtendedPhrReader",
     "HistoryLengthError",

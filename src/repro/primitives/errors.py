@@ -1,8 +1,8 @@
 """Named errors for the attack primitives.
 
-These subclass :class:`ValueError` so pre-existing callers catching the
-generic class keep working, while new callers (and the regression tests)
-can pin the precise failure mode.
+The protocol errors subclass :class:`ValueError` so pre-existing callers
+catching the generic class keep working, while new callers (and the
+regression tests) can pin the precise failure mode.
 """
 
 from __future__ import annotations
@@ -23,3 +23,13 @@ class DoubletCountError(PrimitiveProtocolError):
 
 class HistoryLengthError(PrimitiveProtocolError):
     """An observed-history argument has an impossible length."""
+
+
+class AmbiguousDoubletError(RuntimeError):
+    """``Read_PHR`` found no single top guess for a doublet, even after
+    re-measuring it from fresh train streams.
+
+    Raised instead of returning whichever guess ties first: a wrong
+    doublet also corrupts every later one, whose measurement is built on
+    the recovered lower doublets.
+    """

@@ -22,11 +22,11 @@ branch mispredicts ~50% of the time.  The doublet is the guess with the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.cpu.machine import Machine
 from repro.cpu.phr import PathHistoryRegister
-from repro.primitives.errors import DoubletCountError
+from repro.primitives.errors import AmbiguousDoubletError, DoubletCountError
 from repro.primitives.victim import VictimHandle
 from repro.replay import ReplayEngine
 from repro.utils.rng import DeterministicRng
@@ -52,6 +52,10 @@ TRAIN_PC = 0x6660_0000
 TRAIN_TARGET = 0x6660_0040
 TEST_PC = 0x6661_0100
 TEST_TARGET = 0x6661_0140
+
+#: Extra measurement passes a doublet gets when a pass cannot single out
+#: one guess (see :meth:`PhrReader.read_doublet`).
+TIE_RETRIES = 4
 
 
 @dataclass
@@ -207,17 +211,17 @@ class PhrReader:
                 ("read_phr", "victim-profiled"), self._profile_victim)
         return self._prefix_key
 
-    def _measure_guess(self, index: int, guess: int,
-                       known: List[int]) -> float:
+    def _measure_guess(self, index: int, guess: int, known: List[int],
+                       attempt: int = 0) -> float:
         """Misprediction rate of the test branch for one guess of P_index."""
         if self.replay is None:
-            return self._measure_loop(index, guess, known)
+            return self._measure_loop(index, guess, known, attempt)
         key = self._ensure_prefix()
         return self.replay.evaluate(
-            key, lambda: self._measure_loop(index, guess, known))
+            key, lambda: self._measure_loop(index, guess, known, attempt))
 
-    def _measure_loop(self, index: int, guess: int,
-                      known: List[int]) -> float:
+    def _measure_loop(self, index: int, guess: int, known: List[int],
+                      attempt: int) -> float:
         machine = self.machine
         phr = machine.phr(self.thread)
         if self.replay is not None and self._victim_phr_cache is None:
@@ -226,7 +230,9 @@ class PhrReader:
             # the PHR constant the taken path installs is simply the
             # current register value.
             self._victim_phr_cache = phr.value
-        rng = self.rng.fork(index * 4 + guess)
+        # Every pass of a doublet draws from its own forks: pass 0 uses
+        # ids ``index * 4 + guess`` and a retry's ids lie past all of them.
+        rng = self.rng.fork((attempt * self.capacity + index) * 4 + guess)
         not_taken_value = self._not_taken_value(guess, known)
         shift_amount = self.capacity - 1 - index
         mispredicted = 0
@@ -253,17 +259,26 @@ class PhrReader:
     def read_doublet(self, index: int, known: List[int]) -> tuple:
         """Recover doublet ``index`` given the already-known lower doublets.
 
-        Returns ``(doublet, misprediction_rate)``.
+        Returns ``(doublet, misprediction_rate)``.  A pass whose top rate
+        is 0.0 (every measured train direction was *taken*, so no guess
+        could collide) or is shared by two guesses says nothing about
+        ``P_index``; the doublet is then measured again from fresh train
+        streams, up to :data:`TIE_RETRIES` times, before
+        :class:`AmbiguousDoubletError` is raised.
         """
         if len(known) != index:
             raise ValueError(
                 f"need exactly the {index} lower doublets, got {len(known)}"
             )
-        rates: Dict[int, float] = {}
-        for guess in range(4):
-            rates[guess] = self._measure_guess(index, guess, known)
-        best = max(rates, key=lambda g: rates[g])
-        return best, rates[best]
+        for attempt in range(1 + TIE_RETRIES):
+            rates = [self._measure_guess(index, guess, known, attempt)
+                     for guess in range(4)]
+            best = max(rates)
+            if best > 0.0 and rates.count(best) == 1:
+                return rates.index(best), best
+        raise AmbiguousDoubletError(
+            f"doublet {index}: no single top guess in {1 + TIE_RETRIES} "
+            f"measurement passes (last rates {rates})")
 
     def read(self, count: Optional[int] = None) -> PhrReadResult:
         """Recover the ``count`` (default: all) low doublets of the PHR."""

@@ -1,11 +1,9 @@
-"""Process-sharded batch execution: split plan, slab transport, harness.
+"""Process fan-out of batch-vectorized sweeps.
 
-The ISSUE 8 sharding contract: ``run_trials(vectorize=N,
-shard_workers=W)`` must return bit-identical reports for every W (the
-split is contiguous and deterministic, the pristine snapshot is
-broadcast through one shared-memory slab), degrade gracefully where
-fork or shared memory are unavailable, and refuse ambiguous
-worker/shard combinations loudly.
+``run_victim_signatures(spec, n, workers=W, vectorize=N)`` splits the
+trials across W forked workers, each running its share through the
+vectorized fast path; the report must equal the single-process one
+replica for replica.
 """
 
 from __future__ import annotations
@@ -14,143 +12,19 @@ import multiprocessing
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.batch.shard import (SnapshotSlab, current_snapshot,
-                               set_current_snapshot, shard_ranges,
-                               slabs_supported)
-from repro.cpu.machine import Machine
-from repro.cpu.config import RAPTOR_LAKE
+pytest.importorskip("numpy")
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-# ----------------------------------------------------------------------
-# shard_ranges
-# ----------------------------------------------------------------------
-
-def test_shard_ranges_partition_exactly():
-    for n in (0, 1, 5, 16, 31):
-        for workers in (1, 2, 3, 4, 8):
-            ranges = shard_ranges(n, workers)
-            flat = [i for start, stop in ranges for i in range(start, stop)]
-            assert flat == list(range(n)), (n, workers)
-            assert all(stop > start for start, stop in ranges)
-            # Earlier shards carry the remainder; sizes differ by <= 1.
-            sizes = [stop - start for start, stop in ranges]
-            if sizes:
-                assert max(sizes) - min(sizes) <= 1
-
-
-def test_shard_ranges_validation():
-    with pytest.raises(ValueError):
-        shard_ranges(-1, 2)
-    with pytest.raises(ValueError):
-        shard_ranges(4, 0)
-
-
-# ----------------------------------------------------------------------
-# SnapshotSlab
-# ----------------------------------------------------------------------
-
-@pytest.mark.skipif(not slabs_supported(), reason="no shared memory")
-def test_snapshot_slab_round_trip():
-    """create -> attach by name -> identical snapshot bytes."""
-    machine = Machine(RAPTOR_LAKE)
-    machine.observe_conditional(0x4000, 0x4100, True)
-    machine.cache.access(0x40_0000)
-    snap = machine.snapshot()
-
-    slab = SnapshotSlab.create(snap)
-    try:
-        assert slab.size >= len(snap.to_bytes())
-        other = SnapshotSlab.attach(slab.name)
-        try:
-            decoded = other.snapshot()
-            assert decoded.to_bytes() == snap.to_bytes()
-            # Lazy decode is memoized per mapping.
-            assert other.snapshot() is decoded
-        finally:
-            other.close()
-    finally:
-        slab.close()
-        slab.unlink()
-
-
-@pytest.mark.skipif(not slabs_supported(), reason="no shared memory")
-def test_snapshot_slab_restores_equivalent_machine():
-    trained = Machine(RAPTOR_LAKE)
-    for step in range(50):
-        trained.observe_conditional(0x5000 + 64 * (step % 7), 0x6000,
-                                    step % 3 == 0)
-    snap = trained.snapshot()
-    slab = SnapshotSlab.create(snap)
-    try:
-        worker_view = SnapshotSlab.attach(slab.name)
-        try:
-            machine = Machine(RAPTOR_LAKE)
-            machine.restore(worker_view.snapshot())
-            # Field-wise: serialization is not canonical across dict
-            # insertion orders, but the restored state must be equal.
-            restored = machine.snapshot()
-            for field in ("cbp", "btb", "ibp", "cache", "perf",
-                          "threads", "ibrs_enabled", "phr_capacity"):
-                assert getattr(restored, field) == getattr(snap, field), field
-        finally:
-            worker_view.close()
-    finally:
-        slab.close()
-        slab.unlink()
-
-
-def test_current_snapshot_publication():
-    """set_current_snapshot publishes; None clears (worker lifecycle)."""
-    assert current_snapshot() is None or True  # other tests may publish
-    if not slabs_supported():
-        pytest.skip("no shared memory")
-    snap = Machine(RAPTOR_LAKE).snapshot()
-    slab = SnapshotSlab.create(snap)
-    try:
-        set_current_snapshot(slab.name)
-        published = current_snapshot()
-        assert published is not None
-        assert published.to_bytes() == snap.to_bytes()
-    finally:
-        set_current_snapshot(None)
-        assert current_snapshot() is None
-        slab.close()
-        slab.unlink()
-
-
-# ----------------------------------------------------------------------
-# harness equivalence (the ISSUE 8 gate)
-# ----------------------------------------------------------------------
-
 @pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
 @pytest.mark.parametrize("shards", [2, 3])
 def test_sharded_victim_sweep_matches_unsharded(shards):
-    """W>1 == W=1, replica for replica, with the slab broadcast wired."""
+    """W workers == 1 worker, value for value, on the vectorized path."""
     from repro.aes.trials import AesVictimSpec, run_victim_signatures
 
     spec = AesVictimSpec(key=bytes(range(16)))
-    pristine = Machine(spec.config).snapshot()
-    baseline = run_victim_signatures(spec, 12, workers=1, vectorize=6)
-    assert baseline.shard_workers == 1
-
-    sharded = run_victim_signatures(spec, 12, workers=1, vectorize=6,
-                                    shard_workers=shards,
-                                    shard_state=pristine)
-    assert sharded.values == baseline.values
-    assert sharded.shard_workers == shards
-
-
-def test_shard_workers_validation():
-    from repro.aes.trials import AesVictimSpec, run_victim_signatures
-    from repro.harness import run_trials
-
-    spec = AesVictimSpec(key=bytes(range(16)))
-    with pytest.raises(ValueError, match="cannot both exceed 1"):
-        run_victim_signatures(spec, 4, workers=2, vectorize=2,
-                              shard_workers=2)
-    with pytest.raises(ValueError, match="vectorized fast path"):
-        run_trials(lambda ctx, i, rng: i, 4, shard_workers=2)
+    serial = run_victim_signatures(spec, 18, workers=1, vectorize=6)
+    fanned = run_victim_signatures(spec, 18, workers=shards, vectorize=6)
+    assert fanned.parallel
+    assert fanned.values == serial.values

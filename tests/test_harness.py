@@ -19,7 +19,6 @@ from repro.cpu import Machine, RAPTOR_LAKE
 from repro.harness import (
     DEFAULT_SEED,
     TrialError,
-    TrialRunner,
     WORKERS_ENV,
     resolve_workers,
     run_trials,
@@ -214,15 +213,6 @@ class TestParallelBitIdentical:
                             on_error="collect")
         assert [f.index for f in report.failures] == [1, 4, 7]
         assert report.values[6] == 60
-
-
-class TestTrialRunner:
-    def test_reusable_configuration(self):
-        runner = TrialRunner(setup=_machine_setup, spec=0xBEEF, workers=1,
-                             seed=DEFAULT_SEED)
-        first = runner.run(_machine_trial, 5)
-        second = runner.run(_machine_trial, 5)
-        assert first.values == second.values
 
 
 class TestSnapshotMakesTrialsOrderIndependent:

@@ -57,6 +57,11 @@ def _raising_batch_trial(context, indices, rngs):
     raise RuntimeError("batch arm unavailable")
 
 
+def _block_size_batch_trial(context, indices, rngs):
+    # Each trial reports the size of the block it was batched in.
+    return [len(indices)] * len(indices)
+
+
 def test_chunk_size_larger_than_count():
     report = run_trials(_value_trial, 3, chunk_size=100)
     assert report.chunks == 1
@@ -136,6 +141,19 @@ def test_vectorized_matches_scalar(workers):
     assert batched.values == scalar.values
     assert batched.vectorize == 4
     assert scalar.vectorize == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_default_chunks_keep_full_vectorize_blocks(workers):
+    """The default chunk is a multiple of the batch width, so no chunk
+    boundary cuts a block below ``vectorize``."""
+    report = run_trials(_value_trial, 96, workers=workers, vectorize=48,
+                        batch_trial=_block_size_batch_trial)
+    assert report.vectorize == 48
+    assert report.values == [48] * 96
+    tail = run_trials(_value_trial, 100, workers=workers, vectorize=48,
+                      batch_trial=_block_size_batch_trial)
+    assert tail.values == [48] * 96 + [4] * 4
 
 
 def test_vectorize_requires_batch_trial():

@@ -135,6 +135,52 @@ class TestSection42Evaluation:
         expected = [(planted >> (2 * i)) & 0b11 for i in range(16)]
         assert result.doublets == expected
 
+    def test_all_taken_measurement_tie_is_remeasured(self):
+        """A doublet whose measured train directions are all *taken*
+        reads 0.0 for every guess; the reader must re-measure it rather
+        than take guess 0.  Inputs: op 25 of the seed-102 planted-PHR
+        stream (a 388-bit value, a 16-doublet window and a reader seed
+        drawn per op from ``random.Random(102)``), where doublet 8 ties."""
+        import random
+
+        stream = random.Random(102)
+        for op in range(26):
+            planted = stream.getrandbits(388)
+            count = 194 if op % 8 == 7 else 16
+            seed = stream.getrandbits(32)
+        machine = Machine(RAPTOR_LAKE)
+        macros = PhrMacros(machine)
+
+        class PlantedVictim:
+            def invoke(self, thread=0):
+                macros.apply_write(planted, thread=thread)
+
+        reader = PhrReader(machine, PlantedVictim(),
+                           rng=DeterministicRng(seed))
+        result = reader.read(count=count)
+        expected = [(planted >> (2 * i)) & 0b11 for i in range(count)]
+        assert result.doublets == expected
+        assert min(result.confidence) > 0.0
+        # The re-measured doublet cost one extra pass of four guesses.
+        per_pass = 4 * (reader.warmup + reader.measure)
+        assert result.iterations == (count + 1) * per_pass
+
+    def test_unbreakable_tie_raises_named_error(self, monkeypatch):
+        from repro.primitives import AmbiguousDoubletError
+        from repro.primitives.read_phr import TIE_RETRIES
+
+        program = build_counted_loop(3)
+        machine = Machine(RAPTOR_LAKE)
+        reader = PhrReader(machine, VictimHandle(machine, program))
+        passes = []
+        monkeypatch.setattr(
+            reader, "_measure_guess",
+            lambda index, guess, known, attempt=0: passes.append(attempt)
+            or 0.0)
+        with pytest.raises(AmbiguousDoubletError, match="doublet 0"):
+            reader.read(count=4)
+        assert sorted(set(passes)) == list(range(1 + TIE_RETRIES))
+
     def test_confidence_reported_per_doublet(self):
         program = build_counted_loop(4)
         machine = Machine(RAPTOR_LAKE)
