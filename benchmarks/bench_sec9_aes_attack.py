@@ -8,9 +8,9 @@ rate.  On average, the attack succeeds with a probability of 98.43%."
 
 The sweep here runs 20 trials per exit iteration (9 x 20 = 180 attacked
 invocations; scale recorded in EXPERIMENTS.md), then performs one full
-key recovery from iteration-1 exits.  Both fan out through the trial
-harness: worker count comes from ``REPRO_WORKERS`` (default serial, and
-results are bit-identical either way).
+key recovery from iteration-1 exits.  The sweep fans out through the
+trial harness (worker count from ``REPRO_WORKERS``, default serial;
+results are bit-identical either way); the key recovery runs serially.
 """
 
 from repro.aes import AesAttackSpec, AesSpectreAttack, build_attack
@@ -45,11 +45,11 @@ def run_success_sweep(workers=None):
     return {index + 1: rate for index, rate in enumerate(report.values)}
 
 
-def run_key_recovery(workers=None):
+def run_key_recovery():
     rng = DeterministicRng(0x4B)
     key = rng.bytes(16)
     spec = AesAttackSpec(key=key, rng_seed=rng.fork(2).seed)
-    recovered = build_attack(spec).recover_key(workers=workers)
+    recovered = build_attack(spec).recover_key()
     return recovered == key, len(key)
 
 

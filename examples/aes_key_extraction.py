@@ -12,14 +12,9 @@ byte-indexed table (Listing 3).  The attack:
 4. feeds a handful of chosen plaintexts through the differential key
    recovery, yielding the full AES-128 key.
 
-Run:  python examples/aes_key_extraction.py [--workers N]
-
-``--workers`` (or the ``REPRO_WORKERS`` environment variable) fans the
-16 key-byte recoveries over the trial harness; the result is
-bit-identical at any worker count.
+Run:  python examples/aes_key_extraction.py
 """
 
-import argparse
 import time
 
 from repro.aes import AesAttackSpec, build_attack
@@ -27,12 +22,6 @@ from repro.utils.rng import DeterministicRng
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for the key recovery "
-                             "(default: REPRO_WORKERS, else 1)")
-    args = parser.parse_args()
-
     rng = DeterministicRng(0x5EC2E7)
     secret_key = rng.bytes(16)
     attack = build_attack(AesAttackSpec(key=secret_key,
@@ -59,11 +48,11 @@ def main() -> None:
     print()
     print("running differential key recovery from iteration-1 exits ...")
     start = time.time()
-    recovered = attack.recover_key(workers=args.workers)
+    recovered = attack.recover_key()
     elapsed = time.time() - start
     print(f"recovered key: {recovered.hex()}")
     print(f"actual key   : {secret_key.hex()}")
-    print(f"MATCH: {recovered == secret_key}  ({elapsed:.1f}s)")
+    print(f"MATCH: {recovered == secret_key}  ({elapsed:.2f}s)")
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ from repro.aes.trials import (
     AesAttackSpec,
     AesVictimSpec,
     build_attack,
-    recover_key_parallel,
     run_victim_signatures,
     setup_attack,
     setup_victim_signature,
@@ -65,7 +64,6 @@ __all__ = [
     "AmbiguousChannelError",
     "LeakResult",
     "build_attack",
-    "recover_key_parallel",
     "setup_attack",
     "AesUnrolledVictim",
     "AesVictim",

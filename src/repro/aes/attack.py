@@ -133,7 +133,7 @@ class AesSpectreAttack:
         #: order-independent.
         self.use_checkpoints = use_checkpoints
         #: The picklable :class:`repro.aes.trials.AesAttackSpec` this
-        #: attack was built from, if any (enables ``recover_key`` fan-out).
+        #: attack was built from, if any (the harness trials read it).
         self.spec = spec
         #: Optional shared :class:`~repro.service.store.SnapshotStore`.
         #: With a store attached, :meth:`leak_checkpoint` publishes the
@@ -434,29 +434,19 @@ class AesSpectreAttack:
         """RRC-at-iteration-1 oracle for the differential key recovery."""
         return bytes(self.two_round_leak(plaintext).recovered)
 
-    def recover_key(self, workers: Optional[int] = None,
-                    chunk_size: Optional[int] = None) -> bytes:
+    def recover_key(self, workers: Optional[int] = None) -> bytes:
         """Run the full pipeline and return the recovered AES key.
 
-        ``workers`` (default: the ``REPRO_WORKERS`` environment knob) fans
-        the 16 key-byte recoveries over the trial harness; that path
-        requires the attack to have been built from a picklable spec
-        (:func:`repro.aes.trials.build_attack`), since each worker process
-        reconstructs its own machine + oracle.
+        The 16 key bytes are recovered serially in this process, so
+        ``workers`` is accepted as ``None`` or ``1`` only: the offline
+        filter takes milliseconds per byte, less than a worker process
+        would spend rebuilding and re-profiling the attack.
         """
         from repro.aes.keyrecovery import recover_key_from_two_round_oracle
-        from repro.harness import resolve_workers
 
-        workers = resolve_workers(workers)
-        if workers > 1:
-            if self.spec is None:
-                raise ValueError(
-                    "parallel recover_key needs an attack built from an "
-                    "AesAttackSpec (repro.aes.trials.build_attack)"
-                )
-            from repro.aes.trials import recover_key_parallel
-
-            return recover_key_parallel(self.spec, workers=workers,
-                                        chunk_size=chunk_size)
+        if workers not in (None, 1):
+            raise ValueError(
+                f"recover_key runs serially: workers must be None or 1, "
+                f"got {workers!r}")
         return recover_key_from_two_round_oracle(self.two_round_oracle,
                                                  rng=self.rng.fork(2))

@@ -18,6 +18,12 @@ the S-box's differential behaviour then filters the guesses:
 * intersecting the surviving ``(g, u)`` pairs over several differences
   ``d`` leaves the unique ``g``.
 
+The filter never searches ``u``: the S-box difference-distribution
+table lists, for each input difference and observed output difference,
+the at most four ``u`` that fit, so each (guess, output row) test is one
+table lookup plus a check of those candidates against the other
+differences.
+
 Recovering all 16 bytes of ``k0`` yields the master key directly (for
 AES-128, round key 0 *is* the key; the key schedule inversion in
 :mod:`repro.aes.keyschedule` generalises the final step).
@@ -25,9 +31,9 @@ AES-128, round key 0 *is* the key; the key schedule inversion in
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.aes.core import INV_SHIFT_ROWS_MAP, SBOX, _gf_mul
+from repro.aes.core import INV_SHIFT_ROWS_MAP, SBOX, _MUL2, _MUL3
 from repro.utils.rng import DeterministicRng
 
 #: MixColumns coefficient matrix: row r of the output column is
@@ -66,6 +72,73 @@ def _mc_coefficient(plaintext_index: int, output_row: int) -> int:
     return MC_MATRIX[output_row][row]
 
 
+#: GF(2^8) multiply rows for the MixColumns coefficients 1, 2 and 3.
+_MUL_ROWS = {1: tuple(range(256)), 2: _MUL2, 3: _MUL3}
+
+#: The S-box difference-distribution solutions, built on first use:
+#: ``(counts, solutions)`` where, for the slot ``(a << 8) | b`` of input
+#: difference ``a`` and output difference ``b``, the ``counts[slot]``
+#: bytes of ``solutions`` from ``4 * slot`` are the ``u`` with
+#: ``SBOX[u] ^ SBOX[u ^ a] == b``.  The AES S-box is differentially
+#: 4-uniform, so four bytes per slot hold them all (320 KiB in total).
+_DIFFERENCE_TABLE: Optional[Tuple[bytes, bytes]] = None
+
+
+def _difference_table() -> Tuple[bytes, bytes]:
+    global _DIFFERENCE_TABLE
+    if _DIFFERENCE_TABLE is None:
+        counts = bytearray(1 << 16)
+        solutions = bytearray(4 << 16)
+        for a in range(1, 256):
+            for u in range(256):
+                slot = (a << 8) | (SBOX[u] ^ SBOX[u ^ a])
+                solutions[4 * slot + counts[slot]] = u
+                counts[slot] += 1
+        _DIFFERENCE_TABLE = (bytes(counts), bytes(solutions))
+    return _DIFFERENCE_TABLE
+
+
+def key_byte_survivors(
+    base_byte: int,
+    index: int,
+    deltas: Sequence[int],
+    observed: Sequence[Sequence[int]],
+) -> List[int]:
+    """The guesses of ``k0[index]`` the observed differences allow.
+
+    ``observed[j][row]`` is the RRC difference at
+    ``affected_output_bytes(index)[row]`` when plaintext byte ``index``
+    (``base_byte`` in the base block) is flipped by ``deltas[j]``.  A
+    guess survives when, for some output row, one second-round S-box
+    input ``u`` explains every delta at once: the first delta's
+    difference-table slot names the (at most four) candidates ``u``, and
+    the other deltas check them.
+    """
+    if not deltas or not all(0 < delta < 256 for delta in deltas):
+        raise ValueError(f"deltas must be non-empty bytes 1..255, "
+                         f"got {tuple(deltas)}")
+    counts, solutions = _difference_table()
+    rows = [(_MUL_ROWS[_mc_coefficient(index, output_row)],
+             [differences[output_row] for differences in observed])
+            for output_row in range(4)]
+    survivors = []
+    for guess in range(256):
+        byte = base_byte ^ guess
+        sbox_byte = SBOX[byte]
+        # The inner differences this guess predicts, per delta.
+        inner = [sbox_byte ^ SBOX[byte ^ delta] for delta in deltas]
+        for mul, seen in rows:
+            predicted = [mul[x] for x in inner]
+            slot = (predicted[0] << 8) | seen[0]
+            start = 4 * slot
+            if any(all(SBOX[u] ^ SBOX[u ^ a] == b
+                       for a, b in zip(predicted, seen))
+                   for u in solutions[start:start + counts[slot]]):
+                survivors.append(guess)
+                break
+    return survivors
+
+
 def recover_key_byte(
     oracle: Callable[[bytes], bytes],
     base_plaintext: bytes,
@@ -79,41 +152,18 @@ def recover_key_byte(
     """
     if base_rrc is None:
         base_rrc = oracle(base_plaintext)
-    base_byte = base_plaintext[index]
+    affected = affected_output_bytes(index)
 
-    # Observed output differences per (delta, output_row).
-    observed = {}
+    # Observed output differences per delta, per output row.
+    observed = []
     for delta in deltas:
         flipped = bytearray(base_plaintext)
         flipped[index] ^= delta
         rrc = oracle(bytes(flipped))
-        for output_row in range(4):
-            b = affected_output_bytes(index)[output_row]
-            observed[(delta, output_row)] = base_rrc[b] ^ rrc[b]
+        observed.append([base_rrc[b] ^ rrc[b] for b in affected])
 
-    survivors = []
-    for guess in range(256):
-        # The inner differences this guess predicts, per delta.
-        inner = {
-            delta: SBOX[base_byte ^ guess] ^ SBOX[base_byte ^ delta ^ guess]
-            for delta in deltas
-        }
-        consistent = False
-        for output_row in range(4):
-            coefficient = _mc_coefficient(index, output_row)
-            for u in range(256):
-                if all(
-                    (SBOX[u] ^ SBOX[u ^ _gf_mul(inner[delta], coefficient)])
-                    == observed[(delta, output_row)]
-                    for delta in deltas
-                ):
-                    consistent = True
-                    break
-            if consistent:
-                break
-        if consistent:
-            survivors.append(guess)
-
+    survivors = key_byte_survivors(base_plaintext[index], index, deltas,
+                                   observed)
     if len(survivors) == 1:
         return survivors[0]
     if not survivors:

@@ -88,25 +88,6 @@ def success_trial(attack: AesSpectreAttack, index: int,
                if got == want) / 16
 
 
-def key_byte_trial(attack: AesSpectreAttack, index: int,
-                   rng: DeterministicRng) -> int:
-    """Recover key byte ``index`` through the two-round oracle.
-
-    The base plaintext comes from the attack RNG's fork(2) stream -- the
-    same derivation :meth:`AesSpectreAttack.recover_key` uses serially --
-    so every worker agrees on it without coordination.  The base RRC is
-    re-measured per trial; under checkpoints the measurement is
-    deterministic, so all trials observe the identical value.
-    """
-    del rng  # the differential filter is deterministic given the oracle
-    from repro.aes.keyrecovery import recover_key_byte
-
-    base_plaintext = attack.rng.fork(2).bytes(16)
-    base_rrc = attack.two_round_oracle(base_plaintext)
-    return recover_key_byte(attack.two_round_oracle, base_plaintext,
-                            index, base_rrc=base_rrc)
-
-
 # ----------------------------------------------------------------------
 # Per-plaintext victim-signature trials (the batch-vectorized loop)
 # ----------------------------------------------------------------------
@@ -263,22 +244,3 @@ def run_victim_signatures(
         vectorize=vectorize,
         batch_trial=victim_signature_batch if vectorize else None,
     )
-
-
-def recover_key_parallel(
-    spec: AesAttackSpec,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-) -> bytes:
-    """Recover the full key, fanning the 16 byte positions over workers.
-
-    With ``workers=1`` this runs the identical trials inline, so the
-    result is bit-identical across worker counts.
-    """
-    report = run_trials(
-        key_byte_trial, 16,
-        setup=setup_attack, spec=spec,
-        seed=seed, workers=workers, chunk_size=chunk_size,
-    )
-    return bytes(report.values)

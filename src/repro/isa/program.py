@@ -49,6 +49,10 @@ class Program:
         #: invalidation; keys are ``("committed", trace_mode)`` and
         #: ``"transient"``.
         self._predecoded: Dict[object, Dict[int, object]] = {}
+        #: Entry -> control-flow graph, filled by
+        #: :func:`repro.pathfinder.cfg.cached_cfg`.  Held here so that
+        #: the graphs die with the program.
+        self.cfg_memo: Dict[int, object] = {}
         self._validate()
 
     def _validate(self) -> None:

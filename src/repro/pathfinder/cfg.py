@@ -10,7 +10,6 @@ to reverse PHR updates.
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -97,6 +96,10 @@ class ControlFlowGraph:
         #: consumers holding derived indexes (:class:`PathSearch`'s
         #: doublet-indexed edge lookup) can detect staleness.
         self.version: int = 0
+        #: ``(mode, max_states, max_paths)`` -> path search, filled by
+        #: :func:`repro.pathfinder.search.cached_path_search`.  Held here
+        #: so that the searches die with the graph.
+        self.search_memo: Dict[tuple, object] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -276,13 +279,6 @@ def summarize_edge(edge: Edge) -> Tuple[str, int, int]:
     return (edge.kind.value, edge.source, edge.destination)
 
 
-#: Program -> {entry: ControlFlowGraph}.  Programs are immutable after
-#: assembly, so a CFG never goes stale; keying the outer map weakly lets
-#: throwaway programs (tests build thousands) be collected with their CFGs.
-_CFG_CACHE: "weakref.WeakKeyDictionary[Program, Dict[int, ControlFlowGraph]]" \
-    = weakref.WeakKeyDictionary()
-
-
 def cached_cfg(program: Program, entry: Optional[int] = None
                ) -> ControlFlowGraph:
     """The memoized :class:`ControlFlowGraph` of ``(program, entry)``.
@@ -290,14 +286,13 @@ def cached_cfg(program: Program, entry: Optional[int] = None
     Attack drivers that rebuild the same victim's CFG per trial (image
     recovery runs one per block pattern, the AES attack one per leak)
     share a single instance instead.  Callers must treat the returned CFG
-    as read-only.
+    as read-only.  Programs are immutable after assembly, so a CFG never
+    goes stale; the memo lives on the program (``program.cfg_memo``), so
+    a dropped program takes its CFGs with it.
     """
     resolved_entry = program.entry if entry is None else entry
-    per_program = _CFG_CACHE.get(program)
-    if per_program is None:
-        per_program = _CFG_CACHE[program] = {}
-    cfg = per_program.get(resolved_entry)
+    cfg = program.cfg_memo.get(resolved_entry)
     if cfg is None:
-        cfg = per_program[resolved_entry] = ControlFlowGraph(
+        cfg = program.cfg_memo[resolved_entry] = ControlFlowGraph(
             program, entry=resolved_entry)
     return cfg

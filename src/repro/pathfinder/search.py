@@ -19,7 +19,6 @@ Two matching modes:
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -350,14 +349,6 @@ class PathSearch:
                              reaches_entry=reaches_entry)
 
 
-#: ControlFlowGraph -> {(mode, max_states, max_paths): PathSearch}.  A
-#: search object is stateless across runs apart from the ``explored``
-#: diagnostic, so attack drivers can share one per configuration instead
-#: of rebuilding it (with its CFG) for every trial.
-_SEARCH_CACHE: "weakref.WeakKeyDictionary[ControlFlowGraph, Dict[tuple, PathSearch]]" \
-    = weakref.WeakKeyDictionary()
-
-
 def cached_path_search(
     cfg: ControlFlowGraph,
     mode: str = "exact",
@@ -367,14 +358,14 @@ def cached_path_search(
     """The memoized :class:`PathSearch` for ``cfg`` and the given knobs.
 
     Pair with :func:`repro.pathfinder.cfg.cached_cfg` so repeated trials
-    against one victim reuse both the graph and the search object.
+    against one victim reuse both the graph and the search object.  A
+    search object is stateless across runs apart from the ``explored``
+    diagnostic, so drivers can share one per configuration.  The memo
+    lives on the graph (``cfg.search_memo``) and dies with it.
     """
-    per_cfg = _SEARCH_CACHE.get(cfg)
-    if per_cfg is None:
-        per_cfg = _SEARCH_CACHE[cfg] = {}
     key = (mode, max_states, max_paths)
-    search = per_cfg.get(key)
+    search = cfg.search_memo.get(key)
     if search is None:
-        search = per_cfg[key] = PathSearch(
+        search = cfg.search_memo[key] = PathSearch(
             cfg, mode=mode, max_states=max_states, max_paths=max_paths)
     return search

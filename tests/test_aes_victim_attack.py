@@ -164,8 +164,7 @@ class TestAttack:
 
 class TestKeyRecoveryIntegration:
     def test_recover_single_key_byte_through_full_stack(self):
-        """One byte through the complete pipeline (the full 16-byte run
-        lives in benchmarks/bench_sec9_aes_attack.py)."""
+        """One byte through the complete pipeline."""
         from repro.aes.keyrecovery import recover_key_byte
 
         rng = DeterministicRng(0xFACE)
@@ -175,3 +174,16 @@ class TestKeyRecoveryIntegration:
         recovered = recover_key_byte(attack.two_round_oracle, base_plaintext,
                                      index=0)
         assert recovered == key[0]
+
+    def test_recover_full_key_through_full_stack(self):
+        rng = DeterministicRng(0xBEEF)
+        key = rng.bytes(16)
+        attack = AesSpectreAttack(Machine(RAPTOR_LAKE), key, rng=rng.fork(1),
+                                  use_checkpoints=True)
+        assert attack.recover_key(workers=1) == key
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_recover_key_runs_serially_only(self, workers):
+        attack = AesSpectreAttack(Machine(RAPTOR_LAKE), KEY)
+        with pytest.raises(ValueError, match="workers must be None or 1"):
+            attack.recover_key(workers=workers)

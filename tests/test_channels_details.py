@@ -1,5 +1,7 @@
 """Additional covert-channel coverage: reload timing semantics."""
 
+from dataclasses import replace
+
 from repro.channels.flush_reload import FlushReloadChannel
 from repro.cpu import Machine, RAPTOR_LAKE
 
@@ -42,3 +44,24 @@ class TestReloadTiming:
             channel.flush()
             machine.cache.access(channel.slot_address(secret))
             assert channel.receive_byte() == secret
+
+
+class TestSharedProbeGeometry:
+    def test_channels_of_one_geometry_share_resolved_slots(self):
+        first = FlushReloadChannel(Machine(RAPTOR_LAKE), entries=64)
+        second = FlushReloadChannel(Machine(RAPTOR_LAKE), entries=64)
+        assert first._resolved is second._resolved
+        assert isinstance(first._resolved, tuple)
+        other = FlushReloadChannel(Machine(RAPTOR_LAKE), entries=64,
+                                   stride=8192)
+        assert other._resolved is not first._resolved
+
+    def test_smaller_cache_resolves_its_own_sets(self):
+        small = Machine(replace(RAPTOR_LAKE, cache_sets=64))
+        channel = FlushReloadChannel(small, entries=64)
+        default = FlushReloadChannel(Machine(RAPTOR_LAKE), entries=64)
+        assert channel._resolved is not default._resolved
+        assert all(index < 64 for _, index in channel._resolved)
+        channel.flush()
+        small.cache.access(channel.slot_address(5))
+        assert channel.receive_byte() == 5

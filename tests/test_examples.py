@@ -1,9 +1,9 @@
 """Smoke tests: the example scripts must run end to end.
 
 Examples are user-facing documentation; a broken example is a broken
-deliverable.  The fast scripts run in-process here; the slower demos
-(AES key extraction, image recovery) are covered by the equivalent
-benchmarks and their own integration tests.
+deliverable.  The fast scripts run in-process here; the slower image
+recovery demos are covered by the equivalent benchmarks and their own
+integration tests.
 """
 
 import importlib.util
@@ -44,6 +44,13 @@ class TestExamples:
         run_example("syscall_fingerprinting.py")
         output = capsys.readouterr().out
         assert "identification rate: 12/12" in output
+
+    def test_aes_key_extraction(self, capsys):
+        run_example("aes_key_extraction.py")
+        output = capsys.readouterr().out
+        assert "MISMATCH" not in output
+        assert output.count("[OK]") == 4
+        assert "MATCH: True" in output
 
     def test_mitigation_evaluation(self, capsys):
         run_example("mitigation_evaluation.py")

@@ -1,11 +1,15 @@
 """Tests for the Pathfinder backward path search."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cpu import Machine, RAPTOR_LAKE
 from repro.cpu.phr import replay_taken_branches
 from repro.isa import ProgramBuilder
-from repro.pathfinder import ControlFlowGraph, PathSearch
+from repro.pathfinder import (ControlFlowGraph, PathSearch, cached_cfg,
+                              cached_path_search)
 from repro.primitives import VictimHandle
 
 from conftest import build_branchy_victim, build_counted_loop
@@ -251,3 +255,18 @@ class TestAmbiguity:
         assert replay_taken_branches(len(doublets),
                                      ghost.taken_branches).doublets() == \
                doublets
+
+
+class TestMemos:
+    def test_memos_are_shared_and_die_with_the_program(self):
+        program = build_counted_loop(3)
+        cfg = cached_cfg(program)
+        search = cached_path_search(cfg, mode="window")
+        assert cached_cfg(program) is cfg
+        assert cached_cfg(program, entry=program.entry) is cfg
+        assert cached_path_search(cfg, mode="window") is search
+        assert cached_path_search(cfg) is not search
+        refs = [weakref.ref(program), weakref.ref(cfg), weakref.ref(search)]
+        del program, cfg, search
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
