@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 from repro.aes.core import reduced_round_ciphertext
 from repro.aes.oracle import EncryptionOracle
 from repro.cpu.machine import Machine, MachineSnapshot
+from repro.isa.identity import content_key, machine_digest, profile_digest
 from repro.pathfinder import cached_cfg, cached_path_search
 from repro.pathfinder.report import build_report
 from repro.primitives import PhrReader, PhtWriter, VictimHandle
@@ -135,11 +136,12 @@ class AesSpectreAttack:
         #: The picklable :class:`repro.aes.trials.AesAttackSpec` this
         #: attack was built from, if any (the harness trials read it).
         self.spec = spec
-        #: Optional shared :class:`~repro.service.store.SnapshotStore`.
-        #: With a store attached, :meth:`leak_checkpoint` publishes the
-        #: prepared leak state (plus the profiling results it embodies)
-        #: under a content address, and consults it before paying for a
-        #: fresh profile+poison build -- attacks against the same
+        #: Optional shared snapshot store (the service's ``SnapshotStore``
+        #: or any object with its ``get``/``put``).  With a store
+        #: attached, :meth:`leak_checkpoint` publishes the prepared leak
+        #: state (plus the profiling results it embodies) under a content
+        #: address, and consults it before paying for a fresh
+        #: profile+poison build -- attacks against the same
         #: (profile, key, exit point) across service jobs or runs share
         #: the expensive preparation.
         self.store = store
@@ -267,8 +269,6 @@ class AesSpectreAttack:
         """
         if self.store is None:
             return None
-        from repro.service.store import (content_key, machine_digest,
-                                         profile_digest)
         return content_key(
             "aes-leak",
             profile_digest(self.machine.config),

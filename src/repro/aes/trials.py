@@ -21,6 +21,7 @@ from repro.cpu.config import MachineConfig, RAPTOR_LAKE
 from repro.cpu.machine import Machine
 from repro.harness import DEFAULT_SEED, TrialReport, run_trials
 from repro.isa.memory import Memory
+from repro.isa.trace import TraceCache
 from repro.utils.rng import DeterministicRng
 
 
@@ -108,7 +109,7 @@ class AesVictimSpec:
 
 #: One trace cache per worker process, shared across contexts so cache
 #: warmth survives successive sweeps against the same spec.
-_TRACE_CACHE = None
+_TRACE_CACHE = TraceCache()
 
 #: Process-global ``(spec, width) -> (BatchMachine, pristine snapshot)``
 #: cache.  Building a BatchMachine allocates per-replica shadow
@@ -121,12 +122,7 @@ _BATCH_MACHINES: Dict[tuple, tuple] = {}
 
 
 def victim_trace_cache():
-    """The process-global :class:`repro.service.TraceCache` (lazy)."""
-    global _TRACE_CACHE
-    if _TRACE_CACHE is None:
-        from repro.service.store import TraceCache
-
-        _TRACE_CACHE = TraceCache()
+    """The process-global :class:`~repro.isa.trace.TraceCache`."""
     return _TRACE_CACHE
 
 

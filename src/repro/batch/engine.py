@@ -75,6 +75,8 @@ from repro.isa.interpreter import (
     ExecutionResult,
     Interpreter,
 )
+from repro.isa.identity import (cache_digest, input_digest, program_digest,
+                                trace_key)
 from repro.isa.memory import Memory
 from repro.isa.program import Program
 from repro.isa.trace import (
@@ -84,11 +86,7 @@ from repro.isa.trace import (
     KIND_INDIRECT,
     KIND_RET,
     ArchTrace,
-    cache_digest,
     capture_trace,
-    input_digest,
-    program_fingerprint,
-    trace_key,
 )
 
 #: Pending branch events folded into the shadows automatically once the
@@ -717,7 +715,7 @@ class BatchMachine:
         replica 0's cache.
 
         **Cached-trace mode** (``trace_cache=...``, a
-        :class:`repro.service.TraceCache` or any object with its
+        :class:`repro.isa.trace.TraceCache` or any object with its
         ``get``/``put`` shape): for input-*dependent* sweeps that revisit
         the same inputs (the AES per-plaintext trials).  Each replica's
         phase 1 is keyed by program + entry + trace mode + full
@@ -775,7 +773,7 @@ class BatchMachine:
         pairs = self._normalize_inputs(inputs)
         caching = trace_cache is not None
         if caching:
-            program_fp = program_fingerprint(program)
+            program_key = program_digest(program)
             entry_resolved = entry if entry is not None else program.entry
             # The cache geometry and latencies shape the captured run
             # (miss patterns, reg_latency), so they join the cache-state
@@ -791,7 +789,7 @@ class BatchMachine:
             key = None
             if caching:
                 key = trace_key(
-                    program_fp, entry_resolved, trace,
+                    program_key, entry_resolved, trace,
                     input_digest(state, memory),
                     cache_profile + cache_digest(self._cache[i]))
                 cached = trace_cache.get(key)

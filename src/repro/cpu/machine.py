@@ -235,7 +235,7 @@ class Machine:
 
         Callers that poke component internals directly (tests, exotic
         experiments) bump the epoch through here so memoized digests of
-        this machine's state (:func:`repro.service.store.machine_digest`)
+        this machine's state (:func:`repro.isa.identity.machine_digest`)
         cannot serve a stale value.
         """
         self._mutation_epoch += 1

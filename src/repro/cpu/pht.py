@@ -127,7 +127,7 @@ class BasePredictor:
         Keys are emitted in sorted order so equal predictor state always
         yields byte-identical serialized snapshots -- ``_populated`` is a
         set whose iteration order depends on insertion history, and the
-        content digests of :mod:`repro.service.store` hash the pickled
+        content digests of :mod:`repro.isa.identity` hash the pickled
         payload, not the dict's value equality.
         """
         counters = self._counters

@@ -46,11 +46,13 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.aes.victim import AesVictim
 from repro.cpu.config import RAPTOR_LAKE
-from repro.cpu.machine import Machine
+from repro.cpu.machine import Machine, MachineSnapshot
+from repro.cpu.serialize import SnapshotFormatError
 from repro.fuzz.generator import FuzzProgram
 from repro.fuzz.oracle import InvariantOracle, InvariantViolation
 from repro.isa.interpreter import CpuState
 from repro.isa.memory import Memory
+from repro.isa.trace import TraceCache
 from repro.utils.rng import DeterministicRng
 
 #: Default stride (in commits) of the periodic structural-invariant walk.
@@ -419,7 +421,7 @@ def _check_shared_trace(
       each replica must still match a fresh scalar ``speculate=False``
       run on identically-provisioned memory.
     * ``cached-trace[i]`` -- the same batch run twice through one
-      :class:`~repro.service.store.TraceCache`: the warm pass (every
+      :class:`~repro.isa.trace.TraceCache`: the warm pass (every
       replica a cache hit, phase 1 fully skipped) must match the scalar
       twins just as exactly, and the cache must report zero divergences.
     """
@@ -429,7 +431,6 @@ def _check_shared_trace(
         from repro.batch import BatchMachine, supports_config
     except ImportError:
         return []  # numpy not available: the batch engine is optional
-    from repro.service.store import TraceCache
 
     config = fuzz_program.machine_config
     if not supports_config(config):
@@ -553,9 +554,6 @@ def _check_snapshot_serialization(
     :class:`repro.service.store.SnapshotStore`'s spill directory must
     be indistinguishable from the live capture it spilled.
     """
-    from repro.cpu.machine import MachineSnapshot
-    from repro.cpu.serialize import SnapshotFormatError
-
     machine = Machine(fuzz_program.machine_config)
     if machine_mutator is not None:
         machine_mutator(machine)

@@ -22,39 +22,38 @@ What a trace must carry to be a faithful stand-in:
 * the retired-instruction count, for perf-counter parity.
 
 Safety is content addressing plus divergence detection.  A trace's
-:attr:`key` digests the program text, entry, trace mode, the full input
-(registers, flags, call stack, latencies, memory bytes) *and* the
-starting data-cache state -- load latencies flow into
-``CpuState.reg_latency``, so two runs from different cache contents are
-different runs.  :attr:`branch_stream_hash` fingerprints the recorded
-event stream; :meth:`ArchTrace.verify` recomputes it, and a keyed cache
-that finds a mismatch must treat the entry as poisoned
-(:class:`TraceDivergenceError` names the failure) rather than replay it.
-A stale or corrupted trace therefore degrades to a cache miss and a
-fresh capture, never to silently wrong results.
+:attr:`key` (:func:`repro.isa.identity.trace_key`) digests the program
+text, entry, trace mode, the full input (registers, flags, call stack,
+latencies, memory bytes) *and* the starting data-cache state -- load
+latencies flow into ``CpuState.reg_latency``, so two runs from different
+cache contents are different runs.  :attr:`branch_stream_hash`
+fingerprints the recorded event stream; :meth:`ArchTrace.verify`
+recomputes it, and :class:`TraceCache`, which finds a mismatch, treats
+the entry as poisoned (:class:`TraceDivergenceError` names the failure)
+rather than replay it.  A stale or corrupted trace therefore degrades to
+a cache miss and a fresh capture, never to silently wrong results.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro.isa.identity import check_key
 from repro.isa.interpreter import BranchKind, CpuState
 from repro.isa.memory import Memory
-from repro.isa.program import Program
+from repro.utils.lru import CacheStats, LruCache
 
 __all__ = [
     "KIND_CODES",
     "ArchTrace",
+    "TraceCache",
     "TraceDivergenceError",
-    "cache_digest",
     "capture_trace",
-    "input_digest",
-    "program_fingerprint",
-    "trace_key",
 ]
 
 #: Event kind codes.  Phase-2 predictor replay only distinguishes
@@ -83,120 +82,13 @@ class TraceDivergenceError(RuntimeError):
     """
 
 
-# ----------------------------------------------------------------------
-# content identity
-# ----------------------------------------------------------------------
-
-def program_fingerprint(program: Program) -> str:
-    """Content identity of an assembled program (text + labels + entry).
-
-    Mirrors the service store's ``program_digest`` (this module sits
-    below :mod:`repro.service` and cannot import it): two programs with
-    identical layout fingerprint equal regardless of how they were
-    built.
-    """
-    digest = hashlib.sha256()
-    for address, instruction in program.items():
-        digest.update(f"{address}:{instruction!r};".encode("utf-8"))
-    for label, address in sorted(program.labels.items()):
-        digest.update(f"L{label}={address};".encode("utf-8"))
-    digest.update(f"E{program.entry}".encode("utf-8"))
-    return digest.hexdigest()
-
-
-def _digest_memory(digest, memory: Memory) -> None:
-    """Fold a memory's populated bytes into ``digest``.
-
-    Bytes are folded in dict-insertion order: deterministic provisioning
-    produces a deterministic order, and including the addresses means an
-    equal digest implies equal content.  Two memories holding the same
-    bytes written in a different order digest *differently* -- a spurious
-    cache miss, which is safe; a false hit is not possible.
-    """
-    data = memory._bytes
-    count = len(data)
-    digest.update(count.to_bytes(8, "little"))
-    if not count:
-        return
-    addresses = np.fromiter(data.keys(), dtype=np.int64, count=count)
-    values = np.fromiter(data.values(), dtype=np.uint8, count=count)
-    digest.update(addresses.tobytes())
-    digest.update(values.tobytes())
-
-
-def input_digest(state: Optional[CpuState], memory: Memory) -> str:
-    """Content identity of one architectural input ``(state, memory)``.
-
-    Covers every field the interpreter reads or carries through --
-    registers, flags, the call stack, both latency trackers, and the
-    populated memory bytes.  Latencies matter because the captured final
-    state carries them verbatim.
-    """
-    digest = hashlib.sha256()
-    if state is None:
-        digest.update(b"S-")
-    else:
-        digest.update(repr(sorted(state.regs.items())).encode("utf-8"))
-        digest.update(repr(state.flags).encode("utf-8"))
-        digest.update(repr(state.call_stack).encode("utf-8"))
-        digest.update(repr(sorted(state.reg_latency.items())).encode("utf-8"))
-        digest.update(repr(state.flags_latency).encode("utf-8"))
-    _digest_memory(digest, memory)
-    return digest.hexdigest()
-
-
-def cache_digest(cache) -> str:
-    """Content identity of a data cache's current state.
-
-    Load latencies (hit vs miss) land in ``CpuState.reg_latency``, so a
-    trace captured against one cache state is only valid for replicas in
-    the same cache state.  The digest is memoized against the cache's
-    mutation counter, so the common trial-loop shape -- restore to a
-    pristine (usually empty) cache before every block -- pays the hash
-    once per restore, not once per replica.
-    """
-    epoch = getattr(cache, "mutations", None)
-    if epoch is not None:
-        memo = getattr(cache, "_digest_memo", None)
-        if memo is not None and memo[0] == epoch:
-            return memo[1]
-        # Right after a restore the state equals the restored snapshot's
-        # state, so the digest only depends on the snapshot object --
-        # the restore-per-trial loop hashes it once, not once per trial.
-        if getattr(cache, "_restored_epoch", None) == epoch:
-            source_memo = getattr(cache, "_source_digest_memo", None)
-            if (source_memo is not None
-                    and source_memo[0] is cache._restore_source):
-                value = source_memo[1]
-                cache._digest_memo = (epoch, value)
-                return value
-    lines, hits, misses = cache.snapshot()
-    digest = hashlib.sha256()
-    digest.update(f"{hits}:{misses};".encode("utf-8"))
-    for index in sorted(lines):
-        digest.update(f"{index}={lines[index]};".encode("utf-8"))
-    value = digest.hexdigest()
-    if epoch is not None:
-        cache._digest_memo = (epoch, value)
-        if getattr(cache, "_restored_epoch", None) == epoch:
-            cache._source_digest_memo = (cache._restore_source, value)
-    return value
-
-
-def trace_key(program_fp: str, entry: Optional[int], trace_mode: str,
-              inputs: str, cache_state: str) -> str:
-    """The content address a cached :class:`ArchTrace` lives under."""
-    text = f"arch-trace:{program_fp}:{entry}:{trace_mode}:{inputs}:" \
-           f"{cache_state}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _hash_events(events: List[Tuple[int, int, int, int, int]]) -> str:
     """SHA-256 fingerprint of a committed branch-event stream."""
     digest = hashlib.sha256()
     digest.update(len(events).to_bytes(8, "little"))
     if events:
-        digest.update(np.asarray(events, dtype=np.int64).tobytes())
+        # Row-major native int64, as an (events, 5) int64 array would be.
+        digest.update(array("q", chain.from_iterable(events)).tobytes())
     return digest.hexdigest()
 
 
@@ -287,3 +179,75 @@ def capture_trace(key: str, events: list, accesses: list, execution,
         memory_delta=delta,
         halted=execution.halted,
     )
+
+
+# ----------------------------------------------------------------------
+# the trace cache
+# ----------------------------------------------------------------------
+
+class TraceCache:
+    """Content-addressed LRU cache of :class:`ArchTrace`.
+
+    The batch engine's cached-trace mode
+    (``BatchMachine.run_batch(trace_cache=...)``) keys captured
+    architectural traces by :func:`~repro.isa.identity.trace_key` --
+    program + entry + input + starting cache state -- and replays a hit
+    instead of re-interpreting: the trace-once/replay-many economy for
+    input-dependent sweeps (the AES per-plaintext trials above all).
+
+    Every :meth:`get` re-verifies the entry against its identity: the
+    stored trace's own key must match the requested address, and its
+    branch-event stream must still hash to the recorded
+    ``branch_stream_hash``.  A mismatch -- a mutated event list, an
+    entry stored under the wrong address -- evicts the entry, counts a
+    divergence, and returns ``None``: the caller re-captures, so a
+    poisoned cache self-heals into misses, never wrong replays.
+
+    Memory-only by design (traces hold live interpreter record objects,
+    not serialized artifacts) and thread-safe: service workers share one.
+    """
+
+    def __init__(self, memory_entries: int = 256):
+        if memory_entries < 1:
+            raise ValueError(
+                f"memory_entries must be >= 1, got {memory_entries}")
+        self.memory_entries = memory_entries
+        self.stats = CacheStats()
+        self._lock = threading.Lock()
+        self._entries = LruCache(memory_entries)
+
+    def get(self, key: str) -> Optional[ArchTrace]:
+        """The verified trace stored under ``key``, or ``None``."""
+        check_key(key)
+        with self._lock:
+            trace = self._entries.get(key)
+            if trace is None:
+                self.stats.misses += 1
+                return None
+            try:
+                trace.verify(key=key)
+            except TraceDivergenceError:
+                self._entries.pop(key)
+                self.stats.divergences += 1
+                self.stats.misses += 1
+                return None
+            self.stats.memory_hits += 1
+            return trace
+
+    def put(self, key: str, trace: ArchTrace) -> None:
+        """Store ``trace`` under content address ``key``.
+
+        The trace must already identify as ``key`` (and pass its own
+        stream-hash check); storing a mismatched trace is a caller bug
+        and raises immediately rather than planting a poisoned entry.
+        """
+        check_key(key)
+        trace.verify(key=key)
+        with self._lock:
+            self.stats.memory_evictions += self._entries.put(key, trace)
+            self.stats.puts += 1
+
+    def clear(self) -> None:
+        """Drop every entry (stats survive)."""
+        with self._lock:
+            self._entries.clear()

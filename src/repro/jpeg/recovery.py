@@ -22,6 +22,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.cpu.machine import Machine
+from repro.isa.identity import (content_key, machine_digest, profile_digest,
+                                program_digest)
 from repro.isa.interpreter import BranchKind, BranchRecord, CpuState
 from repro.isa.memory import Memory
 from repro.jpeg.codec import EncodedImage, JpegCodec
@@ -89,7 +91,8 @@ class ImageRecoveryAttack:
         #: reuse policy ('checkpoint', 'none', or 'inline'; None picks
         #: the reader's default for ``reset_between_probes``).
         self.reuse = reuse
-        #: Optional shared :class:`~repro.service.store.SnapshotStore`.
+        #: Optional shared snapshot store (the service's ``SnapshotStore``
+        #: or any object with its ``get``/``put``).
         #: The attack's expensive prefix is the victim itself: a full
         #: IDCT interpretation (up to 20M instructions) whose post-run
         #: machine state and branch trace every later step consumes.
@@ -107,8 +110,6 @@ class ImageRecoveryAttack:
         """Content address of the post-victim-run state, or ``None``."""
         if self.store is None:
             return None
-        from repro.service.store import (content_key, machine_digest,
-                                         profile_digest, program_digest)
         return content_key(
             "jpeg-victim-run",
             profile_digest(self.machine.config),

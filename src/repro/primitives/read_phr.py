@@ -26,6 +26,7 @@ from typing import List, Optional
 
 from repro.cpu.machine import Machine
 from repro.cpu.phr import PathHistoryRegister
+from repro.isa.identity import machine_digest, profile_digest, program_digest
 from repro.primitives.errors import AmbiguousDoubletError, DoubletCountError
 from repro.primitives.victim import VictimHandle
 from repro.replay import ReplayEngine
@@ -147,8 +148,6 @@ class PhrReader:
             raise ValueError(
                 "cannot derive a content-address scope for a victim with "
                 "a setup hook; pass an explicit store_scope identifying it")
-        from repro.service.store import machine_digest, profile_digest, \
-            program_digest
         return (
             "read_phr",
             profile_digest(self.machine.config),

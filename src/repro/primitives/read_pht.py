@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.cpu.machine import Machine
+from repro.isa.identity import machine_digest, profile_digest
 from repro.replay import ReplayEngine
 
 
@@ -135,12 +136,14 @@ class PhtReader:
         each other (distinct PHT entries), or the batched prime differs
         from per-coordinate protocols.
 
-        With a shared :class:`~repro.service.store.SnapshotStore`, the
-        primed+victim prefix is published/consulted under a content
-        address, letting repeated batches against the same victim (other
-        readers, other service workers, later runs) skip the prefix
-        build.  ``run_victim`` is an arbitrary callable the store cannot
-        digest, so callers must pass ``store_scope`` naming the victim's
+        With a shared snapshot store (the service's ``SnapshotStore`` or
+        any object with its ``get``/``put``), the primed+victim prefix
+        is published/consulted under a
+        :func:`~repro.isa.identity.content_key` address, letting
+        repeated batches against the same victim (other readers, other
+        service workers, later runs) skip the prefix build.
+        ``run_victim`` is an arbitrary callable the store cannot digest,
+        so callers must pass ``store_scope`` naming the victim's
         behaviour; the reader folds in the machine profile, live machine
         state, thread, prime parameters, and coordinate list so distinct
         batch setups never collide.
@@ -152,7 +155,6 @@ class PhtReader:
                     "read_batch with a shared store needs a store_scope "
                     "identifying run_victim (callables have no content "
                     "address)")
-            from repro.service.store import machine_digest, profile_digest
             store_scope = (
                 "read_pht",
                 profile_digest(self.machine.config),

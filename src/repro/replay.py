@@ -25,16 +25,19 @@ which makes the two reuse policies interchangeable:
   builder chain from the root for every evaluation.  Property tests pin
   ``checkpoint == none`` bit for bit; benchmarks measure the gap.
 
-The cache is bounded (LRU).  Evicting a checkpoint is safe because the
-builder chain is retained: the state is simply rebuilt (and re-cached)
-on next use.
+The cache is bounded (a :class:`~repro.utils.lru.LruCache`).  Evicting
+a checkpoint is safe because the builder chain is retained: the state is
+simply rebuilt (and re-cached) on next use.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+import dataclasses
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+
+from repro.isa.identity import content_key
+from repro.utils.lru import LruCache
 
 REUSE_MODES = ("checkpoint", "none")
 
@@ -60,8 +63,8 @@ class ReplayStats:
     #: :meth:`ReplayEngine.adopt` over the engine's lifetime (never
     #: decremented -- it counts pin *events*, not live pins).
     pins: int = 0
-    #: Checkpoint misses resolved from the shared
-    #: :class:`~repro.service.store.SnapshotStore` instead of a rebuild.
+    #: Checkpoint misses resolved from the shared snapshot store
+    #: (:attr:`ReplayEngine.store`) instead of a rebuild.
     store_hits: int = 0
     #: Checkpoint misses the store could not serve either.
     store_misses: int = 0
@@ -80,17 +83,7 @@ class ReplayStats:
         return (self.checkpoint_hits + self.store_hits) / lookups
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "prefix_runs": self.prefix_runs,
-            "suffix_runs": self.suffix_runs,
-            "checkpoint_hits": self.checkpoint_hits,
-            "checkpoint_misses": self.checkpoint_misses,
-            "restores": self.restores,
-            "evictions": self.evictions,
-            "pins": self.pins,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-        }
+        return dataclasses.asdict(self)
 
     def reset(self) -> None:
         """Zero every counter.
@@ -139,17 +132,20 @@ class ReplayEngine:
         self.machine = machine
         self.reuse = reuse
         self.capacity = capacity
-        #: Optional shared :class:`~repro.service.store.SnapshotStore`.
-        #: On a local checkpoint miss the engine consults the store
-        #: before rebuilding, and publishes freshly built checkpoints
-        #: back -- that is how concurrent jobs against the same
-        #: victim+profile share prefixes across requests and restarts.
+        #: Optional shared snapshot store: the service's
+        #: ``SnapshotStore`` or any object with its ``get``/``put``,
+        #: addressed by :func:`repro.isa.identity.content_key`.  On a
+        #: local checkpoint miss the engine consults the store before
+        #: rebuilding, and publishes freshly built checkpoints back --
+        #: that is how concurrent jobs against the same victim+profile
+        #: share prefixes across requests and restarts.
         self.store = store
         self.store_scope = store_scope
         self.stats = ReplayStats()
         self._nodes: Dict[Hashable, _Node] = {}
-        #: key -> MachineSnapshot, LRU order (only under reuse='checkpoint').
-        self._snapshots: "OrderedDict[Hashable, Any]" = OrderedDict()
+        #: key -> MachineSnapshot (only under reuse='checkpoint'); its
+        #: capacity is ``capacity`` minus the pinned snapshots.
+        self._snapshots = LruCache(capacity)
         #: key -> MachineSnapshot for captured states (never evicted --
         #: there is no builder chain to rebuild them from).  Pinned
         #: snapshots count against ``capacity``; :meth:`capture` refuses
@@ -200,25 +196,7 @@ class ReplayEngine:
         capture would be unrecoverable, so eviction is not an option).
         Free slots with :meth:`invalidate` or a larger ``capacity``.
         """
-        if key is ROOT:
-            raise ReplayError("cannot capture over the root key")
-        if key in self._nodes:
-            raise ReplayError(f"checkpoint {key!r} already declared")
-        if parent is not ROOT and parent not in self._nodes:
-            raise ReplayError(f"unknown parent checkpoint {parent!r}")
-        if len(self._pinned) >= self.capacity:
-            raise ReplayError(
-                f"cannot capture {key!r}: all {self.capacity} cache "
-                f"slot(s) hold pinned captures, which are never evicted; "
-                f"invalidate() a capture or raise the engine capacity")
-        depth = 0 if parent is ROOT else self._nodes[parent].depth + 1
-        self._nodes[key] = _Node(parent=parent, build=None, depth=depth)
-        self._pinned[key] = self.machine.snapshot()
-        self.stats.pins += 1
-        # The pin shrank the LRU side's budget; trim it immediately so
-        # the cache bound holds at all times, not just on the next store.
-        self._trim()
-        return key
+        return self._pin("capture", key, parent, self.machine.snapshot)
 
     def adopt(self, key: Hashable, snapshot, parent: Hashable = ROOT
               ) -> Hashable:
@@ -230,23 +208,7 @@ class ReplayEngine:
         machine.  Same pinning/eviction semantics and the same capacity
         guard as :meth:`capture`.
         """
-        if key is ROOT:
-            raise ReplayError("cannot adopt over the root key")
-        if key in self._nodes:
-            raise ReplayError(f"checkpoint {key!r} already declared")
-        if parent is not ROOT and parent not in self._nodes:
-            raise ReplayError(f"unknown parent checkpoint {parent!r}")
-        if len(self._pinned) >= self.capacity:
-            raise ReplayError(
-                f"cannot adopt {key!r}: all {self.capacity} cache "
-                f"slot(s) hold pinned captures, which are never evicted; "
-                f"invalidate() a capture or raise the engine capacity")
-        depth = 0 if parent is ROOT else self._nodes[parent].depth + 1
-        self._nodes[key] = _Node(parent=parent, build=None, depth=depth)
-        self._pinned[key] = snapshot
-        self.stats.pins += 1
-        self._trim()
-        return key
+        return self._pin("adopt", key, parent, lambda: snapshot)
 
     def evaluate(self, key: Hashable, suffix: Callable[[], Any]) -> Any:
         """Establish state ``key`` and run ``suffix()`` on the machine.
@@ -280,31 +242,56 @@ class ReplayEngine:
             stale = set(self._nodes)
             self._snapshots.clear()
         else:
-            stale = {key}
-            changed = True
-            while changed:  # transitive closure over declared children
-                changed = False
-                for child, node in self._nodes.items():
-                    if node.parent in stale and child not in stale:
-                        stale.add(child)
-                        changed = True
+            stale = self._descendants({key})
             for dead in stale:
-                self._snapshots.pop(dead, None)
-        unrecoverable = {k for k in stale
-                         if k in self._nodes and self._nodes[k].build is None}
-        changed = True
-        while changed:  # descendants of a dropped capture cannot rebuild
-            changed = False
-            for child, node in self._nodes.items():
-                if node.parent in unrecoverable and child not in unrecoverable:
-                    unrecoverable.add(child)
-                    changed = True
+                self._snapshots.pop(dead)
+        # Descendants of a dropped capture cannot rebuild either.
+        unrecoverable = self._descendants(
+            {k for k in stale
+             if k in self._nodes and self._nodes[k].build is None})
         for dead in unrecoverable:
             self._nodes.pop(dead, None)
             self._pinned.pop(dead, None)
-            self._snapshots.pop(dead, None)
+            self._snapshots.pop(dead)
+        self._resize()
 
     # ------------------------------------------------------------------
+
+    def _pin(self, verb: str, key: Hashable, parent: Hashable,
+             snapshot: Callable[[], Any]) -> Hashable:
+        """Declare ``key`` as a pinned checkpoint holding ``snapshot()``."""
+        if key is ROOT:
+            raise ReplayError(f"cannot {verb} over the root key")
+        if key in self._nodes:
+            raise ReplayError(f"checkpoint {key!r} already declared")
+        if parent is not ROOT and parent not in self._nodes:
+            raise ReplayError(f"unknown parent checkpoint {parent!r}")
+        if len(self._pinned) >= self.capacity:
+            raise ReplayError(
+                f"cannot {verb} {key!r}: all {self.capacity} cache "
+                f"slot(s) hold pinned captures, which are never evicted; "
+                f"invalidate() a capture or raise the engine capacity")
+        depth = 0 if parent is ROOT else self._nodes[parent].depth + 1
+        self._nodes[key] = _Node(parent=parent, build=None, depth=depth)
+        self._pinned[key] = snapshot()
+        self.stats.pins += 1
+        # The pin shrank the LRU side's budget; trim it immediately so
+        # the cache bound holds at all times, not just on the next store.
+        self._resize()
+        return key
+
+    def _descendants(self, roots: Set[Hashable]) -> Set[Hashable]:
+        """``roots`` plus every checkpoint declared below one of them.
+
+        One pass suffices: a parent is always declared before its
+        children, and :meth:`invalidate` drops a node only together with
+        its descendants, so ``_nodes`` keeps parents ahead of children.
+        """
+        closed = set(roots)
+        for child, node in self._nodes.items():
+            if node.parent in closed:
+                closed.add(child)
+        return closed
 
     def _establish(self, key: Hashable) -> None:
         """Bring the machine to state ``key``."""
@@ -327,16 +314,13 @@ class ReplayEngine:
             snapshot = self._snapshots.get(key)
             if snapshot is not None:
                 self.stats.checkpoint_hits += 1
-                self._snapshots.move_to_end(key)
                 self.machine.restore(snapshot)
                 self.stats.restores += 1
                 return
             self.stats.checkpoint_misses += 1
             snapshot = self._store_fetch(key)
             if snapshot is not None:
-                self._snapshots[key] = snapshot
-                self._snapshots.move_to_end(key)
-                self._trim()
+                self.stats.evictions += self._snapshots.put(key, snapshot)
                 self.machine.restore(snapshot)
                 self.stats.restores += 1
                 return
@@ -367,8 +351,7 @@ class ReplayEngine:
             cursor = node.parent
         chain.reverse()
         try:
-            return self.store.content_key(
-                "replay", self.store_scope, tuple(chain))
+            return content_key("replay", self.store_scope, tuple(chain))
         except ValueError:
             return None
 
@@ -387,12 +370,9 @@ class ReplayEngine:
 
     def _store(self, key: Hashable) -> None:
         snapshot = None
-        budget = self.capacity - len(self._pinned)
-        if budget >= 1:
+        if self._snapshots.capacity >= 1:
             snapshot = self.machine.snapshot()
-            self._snapshots[key] = snapshot
-            self._snapshots.move_to_end(key)
-            self._trim()
+            self.stats.evictions += self._snapshots.put(key, snapshot)
         # Every local slot pinned: storing locally would evict the
         # snapshot we just made (or another key) in an endless
         # store/evict churn, so the local tier runs uncached -- but the
@@ -404,12 +384,10 @@ class ReplayEngine:
                 snapshot = self.machine.snapshot()
             self.store.put(content, snapshot)
 
-    def _trim(self) -> None:
-        """Evict LRU snapshots until pins + cached fit ``capacity``."""
-        budget = max(0, self.capacity - len(self._pinned))
-        while len(self._snapshots) > budget:
-            self._snapshots.popitem(last=False)
-            self.stats.evictions += 1
+    def _resize(self) -> None:
+        """Fit the LRU side into what the pins leave of ``capacity``."""
+        self._snapshots.capacity = max(0, self.capacity - len(self._pinned))
+        self.stats.evictions += self._snapshots.trim()
 
     # ------------------------------------------------------------------
 
@@ -422,7 +400,7 @@ class ReplayEngine:
             return self._root_snapshot
         if key in self._pinned:
             return self._pinned[key]
-        return self._snapshots.get(key)
+        return self._snapshots.peek(key)
 
     def cached_keys(self) -> Tuple[Hashable, ...]:
         """Keys with a live snapshot (LRU order, oldest first)."""

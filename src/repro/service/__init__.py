@@ -14,8 +14,21 @@ Three pieces, stacked:
 * :mod:`repro.service.pool` -- the profile-sharded worker pool and the
   async :class:`ServiceClient` API (``submit``/``gather`` with per-job
   timeouts and retry budgets, graceful drain on shutdown).
+
+What the service shares with the layers below it lives below it, so no
+attack module imports this package: the content digests in
+:mod:`repro.isa.identity`, :class:`~repro.isa.trace.TraceCache` next to
+the traces it holds, and :class:`~repro.utils.lru.CacheStats`, the
+counters of every cache.  They are re-exported here for service clients.
 """
 
+from repro.isa.identity import (
+    content_key,
+    machine_digest,
+    profile_digest,
+    program_digest,
+)
+from repro.isa.trace import TraceCache
 from repro.service.jobs import (
     HANDLERS,
     Job,
@@ -32,20 +45,12 @@ from repro.service.pool import (
     ServiceClient,
     WorkerContext,
 )
-from repro.service.store import (
-    SnapshotStore,
-    StoreError,
-    StoreStats,
-    TraceCache,
-    TraceCacheStats,
-    content_key,
-    machine_digest,
-    profile_digest,
-    program_digest,
-)
+from repro.service.store import SnapshotStore, StoreError
+from repro.utils.lru import CacheStats
 
 __all__ = [
     "AttackService",
+    "CacheStats",
     "HANDLERS",
     "Job",
     "JobFailure",
@@ -56,9 +61,7 @@ __all__ = [
     "ServiceError",
     "SnapshotStore",
     "StoreError",
-    "StoreStats",
     "TraceCache",
-    "TraceCacheStats",
     "VictimProgramSpec",
     "WorkerContext",
     "content_key",

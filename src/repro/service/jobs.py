@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.cpu.config import MachineConfig, SKYLAKE
 from repro.cpu.machine import Machine
 from repro.isa.builder import ProgramBuilder
+from repro.isa.identity import profile_digest, program_digest
 from repro.isa.program import Program
 
 
@@ -68,7 +69,6 @@ class MachineSpec:
                                    predictor_model=self.predictor_model)
 
     def digest(self) -> str:
-        from repro.service.store import profile_digest
         return profile_digest(self.effective_config())
 
     def build(self) -> Machine:
@@ -135,7 +135,6 @@ class VictimProgramSpec:
                 for index in range(self.conditional_count)]
 
     def digest(self) -> str:
-        from repro.service.store import program_digest
         return program_digest(self.build())
 
 

@@ -66,7 +66,7 @@ class WorkerContext:
         self.name = name
         self.spec = spec
         self.store = store
-        #: Shared :class:`~repro.service.store.TraceCache` (or None):
+        #: Shared :class:`~repro.isa.trace.TraceCache` (or None):
         #: batched handlers pass it to ``run_batch`` so repeated control
         #: flows replay captured traces instead of re-interpreting.
         self.trace_cache = trace_cache

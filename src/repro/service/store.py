@@ -3,17 +3,17 @@
 The attack service's whole economy (ARCHITECTURE.md §11) rests on one
 observation: every request against the same victim+profile rebuilds the
 same prefix checkpoints.  The store gives those checkpoints an identity
-that is *content*, not process-local object graph: a key is the SHA-256
-digest of the canonicalized ``(profile, prefix program, prefix chain)``
-description, so two requests -- in the same worker, in different shard
-workers, or across a service restart -- that would build the same state
-resolve to the same artifact.
+that is *content*, not process-local object graph: a key is a
+:func:`repro.isa.identity.content_key` of the ``(profile, prefix
+program, prefix chain)`` description, so two requests -- in the same
+worker, in different shard workers, or across a service restart -- that
+would build the same state resolve to the same artifact.
 
 Two tiers:
 
 * **memory** -- live :class:`~repro.cpu.machine.MachineSnapshot` objects
-  in an LRU ``OrderedDict``, bounded by entry count.  Hits are free
-  (no deserialization).
+  in a :class:`~repro.utils.lru.LruCache`, bounded by entry count.  Hits
+  are free (no deserialization).
 * **disk** -- versioned byte artifacts (``MachineSnapshot.to_bytes``
   plus a JSON meta sidecar in the same file), written through on
   :meth:`put` with the atomic temp+``os.replace`` pattern, bounded by a
@@ -28,18 +28,19 @@ directory degrades to cache misses, never to wrong state.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+import uuid
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cpu.machine import MachineSnapshot
 from repro.cpu.serialize import SNAPSHOT_FORMAT_VERSION, SnapshotFormatError
+from repro.isa.identity import check_key
+# perfbench imports TraceCache from here; its home is repro.isa.trace.
+from repro.isa.trace import TraceCache  # noqa: F401
+from repro.utils.lru import CacheStats, LruCache
 
 #: Suffix of every artifact file in the spill directory.
 ARTIFACT_SUFFIX = ".ckpt"
@@ -47,165 +48,6 @@ ARTIFACT_SUFFIX = ".ckpt"
 
 class StoreError(ValueError):
     """Misuse of the snapshot store (bad budgets, unusable directory)."""
-
-
-# ----------------------------------------------------------------------
-# content addressing
-# ----------------------------------------------------------------------
-
-def _canonical(value: Any) -> str:
-    """A stable, type-tagged text form of a key part.
-
-    Deliberately tiny: the service keys stores by tuples/strs/ints/bytes
-    (profile digests, program digests, checkpoint-chain keys), and the
-    canonical form must not depend on dict ordering or object identity.
-    """
-    if isinstance(value, (tuple, list)):
-        return "(" + ",".join(_canonical(part) for part in value) + ")"
-    if isinstance(value, dict):
-        items = sorted((_canonical(k), _canonical(v))
-                       for k, v in value.items())
-        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
-    if isinstance(value, (bytes, bytearray)):
-        return "b:" + bytes(value).hex()
-    if isinstance(value, bool):
-        return f"B:{value}"
-    if isinstance(value, int):
-        return f"i:{value}"
-    if isinstance(value, float):
-        return f"f:{value!r}"
-    if isinstance(value, str):
-        return f"s:{value}"
-    if value is None:
-        return "none"
-    raise StoreError(
-        f"cannot canonicalize a {type(value).__name__} into a content key")
-
-
-def content_key(*parts: Any) -> str:
-    """The SHA-256 content address of a key-part tuple."""
-    text = _canonical(tuple(parts))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def profile_digest(config) -> str:
-    """Content identity of a :class:`~repro.cpu.config.MachineConfig`.
-
-    Covers every field (not just the name): two profiles that differ in
-    any predictor parameter must never share checkpoints.
-    """
-    fields = {f.name: getattr(config, f.name)
-              for f in dataclasses.fields(config)}
-    return content_key("machine-config", fields)
-
-
-def program_digest(program) -> str:
-    """Content identity of an assembled :class:`~repro.isa.program.Program`.
-
-    Hashes the placed instruction stream and the label map; two programs
-    with identical layout digest equal regardless of how they were built.
-    """
-    body = tuple((address, repr(instruction))
-                 for address, instruction in program.items())
-    labels = tuple(sorted(program.labels.items()))
-    return content_key("program", body, labels, program.entry)
-
-
-def machine_digest(machine) -> str:
-    """Content identity of a machine's full *live* state.
-
-    Digest of the versioned snapshot serialization, so two machines with
-    bit-identical predictor/cache/perf state digest equal and any state
-    divergence -- however small -- separates them.  Used as the root-state
-    component of replay store scopes: checkpoints built from different
-    starting states must never share a content address.
-
-    Memoized against :attr:`Machine.state_epoch`: service request loops
-    digest the same untouched machine once per job, and serializing a
-    full trained snapshot for every call was the store's hottest single
-    line.  Any state mutation moves the epoch and forces a recompute;
-    machines without an epoch (duck-typed stand-ins, machines whose
-    predictors were swapped out) always take the full recompute path.
-    """
-    epoch = getattr(machine, "state_epoch", None)
-    if epoch is not None:
-        memo = getattr(machine, "_digest_cache", None)
-        if memo is not None and memo[0] == epoch:
-            return memo[1]
-    value = hashlib.sha256(machine.snapshot().to_bytes()).hexdigest()
-    if epoch is not None:
-        machine._digest_cache = (epoch, value)
-    return value
-
-
-# ----------------------------------------------------------------------
-# stats
-# ----------------------------------------------------------------------
-
-@dataclass
-class StoreStats:
-    """Counters for benchmarks and cache-behaviour tests."""
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    memory_evictions: int = 0
-    disk_evictions: int = 0
-    #: Artifacts written to the spill directory.
-    spills: int = 0
-    #: Disk artifacts that failed to decode and were quarantined.
-    invalid_artifacts: int = 0
-
-    @property
-    def hits(self) -> int:
-        """Total hits across both tiers."""
-        return self.memory_hits + self.disk_hits
-
-    @property
-    def lookups(self) -> int:
-        """Total :meth:`SnapshotStore.get` calls."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before any lookup)."""
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "memory_evictions": self.memory_evictions,
-            "disk_evictions": self.disk_evictions,
-            "spills": self.spills,
-            "invalid_artifacts": self.invalid_artifacts,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-    def reset(self) -> None:
-        """Zero every counter (start of a measurement window)."""
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, 0)
-
-
-# ----------------------------------------------------------------------
-# the store
-# ----------------------------------------------------------------------
-
-_KEY_CHARS = set("0123456789abcdef")
-
-
-def _check_key(key: str) -> str:
-    if not (isinstance(key, str) and len(key) == 64
-            and set(key) <= _KEY_CHARS):
-        raise StoreError(
-            f"store keys are 64-char hex content digests "
-            f"(use content_key()), got {key!r}")
-    return key
 
 
 class SnapshotStore:
@@ -223,11 +65,6 @@ class SnapshotStore:
     per-iteration PHR map) that must travel with the snapshot.
     """
 
-    #: Content-addressing helper exposed on the class/instance so
-    #: consumers that receive a store by reference (the replay engine
-    #: lives below this package) need no import of this module.
-    content_key = staticmethod(content_key)
-
     def __init__(self, directory: Optional[os.PathLike] = None,
                  memory_entries: int = 64,
                  disk_budget_bytes: int = 256 * 1024 * 1024):
@@ -240,11 +77,10 @@ class SnapshotStore:
         self.directory = Path(directory) if directory is not None else None
         self.memory_entries = memory_entries
         self.disk_budget_bytes = disk_budget_bytes
-        self.stats = StoreStats()
+        self.stats = CacheStats()
         self._lock = threading.Lock()
-        #: key -> (snapshot, meta), LRU order (oldest first).
-        self._memory: "OrderedDict[str, Tuple[MachineSnapshot, dict]]" = \
-            OrderedDict()
+        #: key -> (snapshot, meta).
+        self._memory = LruCache(memory_entries)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
@@ -257,11 +93,10 @@ class SnapshotStore:
         back into the memory tier, and refreshes the artifact's eviction
         clock.
         """
-        _check_key(key)
+        check_key(key, StoreError)
         with self._lock:
             entry = self._memory.get(key)
             if entry is not None:
-                self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
                 return entry
         entry = self._read_artifact(key)
@@ -270,9 +105,7 @@ class SnapshotStore:
                 self.stats.misses += 1
                 return None
             self.stats.disk_hits += 1
-            self._memory[key] = entry
-            self._memory.move_to_end(key)
-            self._trim_memory_locked()
+            self.stats.memory_evictions += self._memory.put(key, entry)
         return entry
 
     def put(self, key: str, snapshot: MachineSnapshot,
@@ -285,7 +118,7 @@ class SnapshotStore:
         Content addressing makes re-puts of an existing key no-ops on
         the disk side: same key, same content.
         """
-        _check_key(key)
+        check_key(key, StoreError)
         if not isinstance(snapshot, MachineSnapshot):
             raise StoreError(
                 f"store values are MachineSnapshots, "
@@ -296,14 +129,13 @@ class SnapshotStore:
             self.stats.puts += 1
             if on_disk:
                 self.stats.spills += 1
-            self._memory[key] = (snapshot, meta)
-            self._memory.move_to_end(key)
-            self._trim_memory_locked()
+            self.stats.memory_evictions += self._memory.put(
+                key, (snapshot, meta))
         if on_disk:
             self._trim_disk(protect=key)
 
     def __contains__(self, key: str) -> bool:
-        _check_key(key)
+        check_key(key, StoreError)
         with self._lock:
             if key in self._memory:
                 return True
@@ -360,15 +192,6 @@ class SnapshotStore:
         }
 
     # ------------------------------------------------------------------
-    # memory tier internals
-    # ------------------------------------------------------------------
-
-    def _trim_memory_locked(self) -> None:
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-            self.stats.memory_evictions += 1
-
-    # ------------------------------------------------------------------
     # disk tier internals
     # ------------------------------------------------------------------
 
@@ -418,7 +241,10 @@ class SnapshotStore:
         meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
         body = (len(meta_blob).to_bytes(4, "big") + meta_blob
                 + snapshot.to_bytes())
-        scratch = path.with_suffix(path.suffix + f".tmp.{os.getpid()}")
+        # A scratch name of its own per writer: two threads putting the
+        # same key must never write or publish each other's file.  The
+        # ".tmp" suffix keeps scratch files out of the artifact listing.
+        scratch = path.with_name(f"{key}.{uuid.uuid4().hex}.tmp")
         try:
             scratch.write_bytes(body)
             os.replace(scratch, path)
@@ -491,127 +317,3 @@ class SnapshotStore:
             total -= size
             if total <= self.disk_budget_bytes:
                 break
-
-
-# ----------------------------------------------------------------------
-# the trace cache
-# ----------------------------------------------------------------------
-
-@dataclass
-class TraceCacheStats:
-    """Counters for the trace cache's behaviour tests and benchmarks."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    #: Entries that failed divergence verification on lookup and were
-    #: evicted (each one degraded to a miss, counted separately above).
-    divergences: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "divergences": self.divergences,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-    def reset(self) -> None:
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, 0)
-
-
-class TraceCache:
-    """Content-addressed LRU cache of :class:`~repro.isa.trace.ArchTrace`.
-
-    The batch engine's cached-trace mode
-    (``BatchMachine.run_batch(trace_cache=...)``) keys captured
-    architectural traces by program + entry + input + starting cache
-    state and replays a hit instead of re-interpreting -- the
-    trace-once/replay-many economy for input-dependent sweeps (the AES
-    per-plaintext trials above all).
-
-    Every :meth:`get` re-verifies the entry against its identity: the
-    stored trace's own key must match the requested address, and its
-    branch-event stream must still hash to the recorded
-    ``branch_stream_hash``.  A mismatch -- a mutated event list, an
-    entry stored under the wrong address -- evicts the entry, counts a
-    divergence, and returns ``None``: the caller re-captures, so a
-    poisoned cache self-heals into misses, never wrong replays.
-
-    Memory-only by design (traces hold live interpreter record objects,
-    not serialized artifacts) and thread-safe like the snapshot store.
-    """
-
-    def __init__(self, memory_entries: int = 256):
-        if memory_entries < 1:
-            raise StoreError(
-                f"memory_entries must be >= 1, got {memory_entries}")
-        self.memory_entries = memory_entries
-        self.stats = TraceCacheStats()
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-
-    def get(self, key: str):
-        """The verified trace stored under ``key``, or ``None``."""
-        from repro.isa.trace import TraceDivergenceError
-
-        _check_key(key)
-        with self._lock:
-            trace = self._entries.get(key)
-            if trace is None:
-                self.stats.misses += 1
-                return None
-            try:
-                trace.verify(key=key)
-            except TraceDivergenceError:
-                del self._entries[key]
-                self.stats.divergences += 1
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return trace
-
-    def put(self, key: str, trace) -> None:
-        """Store ``trace`` under content address ``key``.
-
-        The trace must already identify as ``key`` (and pass its own
-        stream-hash check); storing a mismatched trace is a caller bug
-        and raises immediately rather than planting a poisoned entry.
-        """
-        _check_key(key)
-        trace.verify(key=key)
-        with self._lock:
-            self._entries[key] = trace
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.memory_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-            self.stats.puts += 1
-
-    def __contains__(self, key: str) -> bool:
-        _check_key(key)
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry (stats survive)."""
-        with self._lock:
-            self._entries.clear()

@@ -39,7 +39,7 @@ from repro.cpu import (
 )
 from repro.cpu.model import conformance_workload
 from repro.fuzz.diff import machine_fingerprint
-from repro.service.store import machine_digest
+from repro.isa.identity import machine_digest
 
 #: (config, family id) pairs -- one lab machine per registered family.
 LAB = [(config, config.predictor_model) for config in PREDICTOR_LAB_MACHINES]

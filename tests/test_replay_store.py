@@ -12,8 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cpu import Machine, RAPTOR_LAKE
+from repro.isa.identity import content_key
 from repro.replay import ReplayEngine, ReplayError, ReplayStats
-from repro.service.store import SnapshotStore, content_key
+from repro.service.store import SnapshotStore
 
 from test_replay import make_builder, phr_of
 

@@ -2,7 +2,7 @@
 
 The ISSUE 8 perf layer under the trace cache: every stateful component
 counts its mutations, :attr:`Machine.state_epoch` aggregates them, and
-:func:`repro.service.store.machine_digest` memoizes against the epoch.
+:func:`repro.isa.identity.machine_digest` memoizes against the epoch.
 Correctness bar: a memo must *never* survive a state change -- every
 test here mutates through a different entry point and checks the
 derived value moves.
@@ -16,7 +16,7 @@ from repro.cpu.btb import BranchTargetBuffer
 from repro.cpu.cache import DataCache
 from repro.cpu.config import RAPTOR_LAKE
 from repro.cpu.machine import Machine
-from repro.service.store import machine_digest
+from repro.isa.identity import machine_digest
 
 
 # ----------------------------------------------------------------------

@@ -15,16 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import Machine, RAPTOR_LAKE, SKYLAKE
-from repro.service.store import (
-    ARTIFACT_SUFFIX,
-    SnapshotStore,
-    StoreError,
-    StoreStats,
+from repro.isa.identity import (
+    ContentKeyError,
     content_key,
     machine_digest,
     profile_digest,
     program_digest,
 )
+from repro.service.store import ARTIFACT_SUFFIX, SnapshotStore, StoreError
+from repro.utils.lru import CacheStats
 from repro.utils.rng import DeterministicRng
 
 from conftest import build_counted_loop
@@ -71,7 +70,7 @@ class TestContentKey:
                 != content_key(("x", (2, 1))))
 
     def test_uncanonicalizable_values_raise(self):
-        with pytest.raises(StoreError, match="cannot canonicalize"):
+        with pytest.raises(ContentKeyError, match="cannot canonicalize"):
             content_key(object())
 
 
@@ -216,6 +215,27 @@ class TestDiskTier:
                      if not p.name.endswith(ARTIFACT_SUFFIX)]
         assert leftovers == []
 
+    def test_concurrent_writer_scratch_file_is_not_consumed(self, tmp_path):
+        """Each writer spills through a scratch file of its own.
+
+        Two service threads putting the same key once shared the
+        ``<key>.ckpt.tmp.<pid>`` scratch path, so one writer's
+        ``os.replace`` could publish the file the other was still
+        writing.  Plant that path as another writer's in-flight file: a
+        put must leave it alone and publish its own bytes.
+        """
+        snapshot = _snapshot(seed=3)
+        scratch = tmp_path / f"{_key('a')}{ARTIFACT_SUFFIX}.tmp.{os.getpid()}"
+        scratch.write_bytes(b"another writer's half-written artifact")
+        store = SnapshotStore(directory=tmp_path)
+        store.put(_key("a"), snapshot)
+        assert scratch.read_bytes() == (
+            b"another writer's half-written artifact")
+        store.clear()
+        restored, __ = store.get(_key("a"))
+        assert restored == snapshot
+        assert store.stats.invalid_artifacts == 0
+
     def test_corrupt_artifact_is_quarantined(self, tmp_path):
         store = SnapshotStore(directory=tmp_path)
         store.put(_key("a"), _snapshot(seed=4))
@@ -282,7 +302,7 @@ class TestManifestAndStats:
         assert manifest["stats"]["hit_rate"] == 0.5
 
     def test_stats_hit_rate_and_reset(self):
-        stats = StoreStats(memory_hits=3, disk_hits=1, misses=4)
+        stats = CacheStats(memory_hits=3, disk_hits=1, misses=4)
         assert stats.hits == 4
         assert stats.lookups == 8
         assert stats.hit_rate == 0.5

@@ -24,10 +24,10 @@ from repro.batch.engine import BatchStateError
 from repro.cpu.config import RAPTOR_LAKE, SKYLAKE
 from repro.cpu.machine import Machine
 from repro.isa.builder import ProgramBuilder
+from repro.isa.identity import (cache_digest, input_digest, program_digest,
+                                trace_key)
 from repro.isa.memory import Memory
-from repro.isa.trace import (ArchTrace, TraceDivergenceError, cache_digest,
-                             input_digest, program_fingerprint, trace_key)
-from repro.service.store import TraceCache
+from repro.isa.trace import ArchTrace, TraceCache, TraceDivergenceError
 from repro.utils.rng import DeterministicRng
 
 CONFIGS = [RAPTOR_LAKE, SKYLAKE]
@@ -169,7 +169,7 @@ def test_mutated_trace_is_evicted_not_replayed():
 
     # Corrupt the stored event stream behind the cache's back.
     (key,) = list(cache._entries)
-    trace = cache._entries[key]
+    trace = cache._entries.peek(key)
     kind, pc, target, taken, next_pc = trace.events[0]
     trace.events[0] = (kind, pc, target, 1 - taken, next_pc)
     with pytest.raises(TraceDivergenceError):
@@ -181,7 +181,7 @@ def test_mutated_trace_is_evicted_not_replayed():
     _assert_results_equal(again[0], cold[0], "recaptured")
     # The re-capture repopulated the cache with a *valid* entry under
     # the same content address.
-    cache._entries[key].verify(key=key)
+    cache._entries.peek(key).verify(key=key)
     batch.restore(pristine)
     warm = batch.run_batch(program, [_provision(5)], trace_cache=cache)
     assert cache.stats.hits == 1
@@ -195,7 +195,7 @@ def test_trace_cache_rejects_mismatched_put():
     batch = BatchMachine(1)
     batch.run_batch(program, [_provision(9)], trace_cache=cache)
     (key,) = list(cache._entries)
-    trace = cache._entries[key]
+    trace = cache._entries.peek(key)
     with pytest.raises(TraceDivergenceError):
         cache.put("f" * 64, trace)
 
@@ -206,8 +206,8 @@ def test_trace_cache_rejects_mismatched_put():
 
 def test_trace_key_components_separate_runs():
     program = _branchy_program()
-    fp = program_fingerprint(program)
-    assert fp == program_fingerprint(_branchy_program())
+    fp = program_digest(program)
+    assert fp == program_digest(_branchy_program())
 
     digest_a = input_digest(None, _provision(1))
     assert digest_a == input_digest(None, _provision(1))
