@@ -123,12 +123,12 @@ def _aes_arm():
     exact plaintexts the cold one captured -- every replica hits the
     trace cache and phase 1 never runs.
     """
-    from repro.aes.trials import (AesVictimSpec, run_victim_signatures,
-                                  victim_trace_cache)
+    from repro.aes.trials import run_victim_signatures, victim_trace_cache
+    from repro.fuzz.twins import ReferenceAesVictimSpec
 
-    plain = AesVictimSpec(key=bytes(range(16)), data_path="reference")
-    cached = AesVictimSpec(key=bytes(range(16)), data_path="reference",
-                           use_trace_cache=True)
+    plain = ReferenceAesVictimSpec(key=bytes(range(16)))
+    cached = ReferenceAesVictimSpec(key=bytes(range(16)),
+                                    use_trace_cache=True)
     cache = victim_trace_cache()
     cache.clear()
     cache.stats.reset()

@@ -11,17 +11,19 @@ recorded in EXPERIMENTS.md), plus the single-doublet Figure 5 signature
 and the consecutive-unconditional failure mode.
 
 The replay experiment reads one history with order-independent probes
-(``reset_between_probes=True``) under the two replay-engine policies:
-``reuse='checkpoint'`` restores the primed machine per candidate probe,
-``reuse='none'`` re-establishes it from scratch (prime cascade plus a
-full history refresh) per probe.  Bit-identical results, >=3x floor in
-quick mode.
+(``reset_between_probes=True``) two ways: ``ExtendedPhrReader``
+(``checkpoint``) restores the primed machine per candidate probe and
+refreshes only the probed entry;
+``repro.fuzz.twins.NaiveExtendedPhrReader`` (``none``) re-commits the
+full history on every probe round.  Bit-identical results, >=3x floor
+in quick mode.
 """
 
 import time
 
 from repro.cpu import Machine, RAPTOR_LAKE
 from repro.cpu.phr import PathHistoryRegister
+from repro.fuzz.twins import NaiveExtendedPhrReader
 from repro.primitives import ExtendedPhrReader, TakenBranch
 from repro.utils.rng import DeterministicRng
 
@@ -124,9 +126,10 @@ def test_fig5_extended_read(benchmark):
 def run_replay_arms():
     branches = random_branches(REPLAY_COUNT, seed=7)
     arms = {}
-    for reuse in ("checkpoint", "none"):
-        reader = ExtendedPhrReader(Machine(RAPTOR_LAKE),
-                                   reset_between_probes=True, reuse=reuse)
+    for reuse, reader_class in (("checkpoint", ExtendedPhrReader),
+                                ("none", NaiveExtendedPhrReader)):
+        reader = reader_class(Machine(RAPTOR_LAKE),
+                              reset_between_probes=True)
         start = time.perf_counter()
         result = reader.read(branches)
         arms[reuse] = {
@@ -164,7 +167,7 @@ def test_fig5_extended_read_replay_speedup(benchmark):
     if BENCH_QUICK:
         assert speedup >= 3.0, (
             f"replay-backed extended read only {speedup:.2f}x "
-            f"over reuse='none'")
+            f"over the naive twin")
 
     benchmark.extra_info.update({
         "replay_speedup": round(speedup, 2),

@@ -11,15 +11,17 @@ per-doublet protocol; the scale-down trades wall-clock for trial count
 and is recorded in EXPERIMENTS.md).
 
 A second experiment measures the prefix-replay engine: the same read of
-a branch-heavy loop victim under ``reuse='checkpoint'`` (run the victim
-once, restore a machine checkpoint per guess) versus ``reuse='none'``
-(the naive twin: re-run the whole prefix, victim and all, per guess).
+a branch-heavy loop victim through ``PhrReader`` (``checkpoint``: run
+the victim once, restore a machine checkpoint per guess) versus
+``repro.fuzz.twins.NaivePhrReader`` (``none``: re-run the whole prefix,
+victim and all, per guess).
 The two must agree bit for bit; quick mode asserts the >=3x floor.
 """
 
 import time
 
 from repro.cpu import Machine, PREDICTOR_LAB_MACHINES, RAPTOR_LAKE
+from repro.fuzz.twins import NaivePhrReader
 from repro.isa import ProgramBuilder
 from repro.primitives import PhrMacros, PhrReader, VictimHandle
 from repro.primitives.matrix import measure_read_primitive
@@ -107,11 +109,11 @@ def build_replay_victim():
 def run_replay_arms():
     program = build_replay_victim()
     arms = {}
-    for reuse in ("checkpoint", "none"):
+    for reuse, reader_class in (("checkpoint", PhrReader),
+                                ("none", NaivePhrReader)):
         machine = Machine(RAPTOR_LAKE)
-        reader = PhrReader(machine, VictimHandle(machine, program),
-                           rng=DeterministicRng(0x42EAD).fork(99),
-                           reuse=reuse)
+        reader = reader_class(machine, VictimHandle(machine, program),
+                              rng=DeterministicRng(0x42EAD).fork(99))
         start = time.perf_counter()
         result = reader.read(count=REPLAY_DOUBLETS)
         arms[reuse] = {
@@ -154,7 +156,7 @@ def test_sec4_read_phr_replay_speedup(benchmark):
     # ISSUE 5 acceptance gate: >=3x in quick mode (the CI configuration).
     if BENCH_QUICK:
         assert speedup >= 3.0, (
-            f"replay-backed read only {speedup:.2f}x over reuse='none'")
+            f"replay-backed read only {speedup:.2f}x over the naive twin")
 
     benchmark.extra_info.update({
         "replay_speedup": round(speedup, 2),

@@ -17,13 +17,14 @@ the history, so backward states merge at each split) driven by an
 unsatisfiable history.  Without the memo the walk re-explores every
 merged subtree once per arriving route -- ``O(2^N)`` states for ``N``
 diamonds; with it, each subtree is explored once and re-arrivals are
-pruned.
+pruned.  The memo-less walk is ``repro.fuzz.twins.ExhaustivePathSearch``.
 """
 
 import time
 
 from repro.cpu import Machine, RAPTOR_LAKE
 from repro.cpu.phr import replay_taken_branches
+from repro.fuzz.twins import ExhaustivePathSearch
 from repro.isa import ProgramBuilder
 from repro.pathfinder import ControlFlowGraph, PathSearch
 from repro.primitives import VictimHandle
@@ -232,8 +233,9 @@ def run_memoize_arms():
     # but forward verification rejects it there -- all subtrees are dead.
     doublets = doublets[:-1] + [(doublets[-1] + 1) % 4]
     arms = {}
-    for memoize in (True, False):
-        search = PathSearch(cfg, mode="exact", memoize=memoize)
+    for memoize, search_class in ((True, PathSearch),
+                                  (False, ExhaustivePathSearch)):
+        search = search_class(cfg, mode="exact")
         start = time.perf_counter()
         paths = search.search(doublets)
         arms[memoize] = {
@@ -258,7 +260,7 @@ def test_sec6_pathfinder_memoization(benchmark):
         f"{'quick' if BENCH_QUICK else 'full'} mode)",
         ["search", "states explored", "pruned", "time", "speedup"],
         [
-            ["naive (memoize=False)", naive["explored"], naive["pruned"],
+            ["naive (exhaustive twin)", naive["explored"], naive["pruned"],
              f"{naive['elapsed']:.4f}s", "1.00x"],
             ["transposition table", memo["explored"], memo["pruned"],
              f"{memo['elapsed']:.4f}s", f"{speedup:.2f}x"],

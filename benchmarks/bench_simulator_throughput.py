@@ -12,6 +12,7 @@ from repro.aes.victim import AesVictim
 from repro.cpu import Machine, RAPTOR_LAKE
 from repro.cpu.footprint import branch_footprint, branch_footprint_reference
 from repro.cpu.pht import TaggedTable
+from repro.fuzz.twins import ReferenceAesVictim, ReferenceMachine
 from repro.cpu.phr import PathHistoryRegister
 from repro.isa import ProgramBuilder
 from repro.isa.memory import Memory
@@ -148,27 +149,27 @@ def test_hot_path_reference_speedup(benchmark):
 # ----------------------------------------------------------------------
 
 def bench_machine_run_aes(victim: AesVictim, machine: Machine,
-                          memory: Memory, engine: str, trace: str,
+                          memory: Memory, trace: str,
                           runs: int = AES_RUNS) -> int:
     """Drive ``runs`` full AES encryptions through one Machine.
 
     Returns the total committed instruction count (identical across
     engine/trace/data-path configurations -- the equivalence tests pin
-    that, and the benchmark re-asserts it).  The victim is built by the
-    caller so its one-time cost (key schedule, assembly, predecode)
-    stays outside the timed region.
+    that, and the benchmark re-asserts it).  The victim and machine are
+    built by the caller (their classes pick the data path and engine),
+    so the one-time cost (key schedule, assembly, predecode) stays
+    outside the timed region.
     """
     executed = 0
     for _ in range(runs):
         victim.provision(memory, _AES_PLAINTEXT)
-        result = machine.run(victim.program, memory=memory,
-                             trace=trace, engine=engine)
+        result = machine.run(victim.program, memory=memory, trace=trace)
         executed += result.execution.instructions
     return executed
 
 
 def bench_machine_run_idct(victim: IdctVictim, blocks, machine: Machine,
-                           memory: Memory, engine: str, trace: str,
+                           memory: Memory, trace: str,
                            runs: int = IDCT_RUNS) -> int:
     """Drive ``runs`` IDCT decodes (Listing 2 inner loops) end to end."""
     entry = victim.program.address_of("idct")
@@ -176,8 +177,7 @@ def bench_machine_run_idct(victim: IdctVictim, blocks, machine: Machine,
     for _ in range(runs):
         victim.provision(memory, blocks)
         result = machine.run(victim.program, memory=memory, entry=entry,
-                             max_instructions=20_000_000,
-                             trace=trace, engine=engine)
+                             max_instructions=20_000_000, trace=trace)
         executed += result.execution.instructions
     return executed
 
@@ -188,23 +188,26 @@ def test_machine_run_aes_throughput(benchmark):
     The shipped configuration (predecoded engine, ``trace='none'``,
     table-based AES data path) against the seed-equivalent baseline
     (dispatch-loop reference engine, full trace, byte-at-a-time
-    definitional AES rounds).  The two halves of each pair are pinned
+    definitional AES rounds -- ``ReferenceMachine`` and
+    ``ReferenceAesVictim`` from :mod:`repro.fuzz.twins`).  The two halves
+    of each pair are pinned
     bit-identical by tests/test_interpreter_equivalence.py and
     tests/test_aes_core.py; this benchmark records the speedup the fast
     halves buy and enforces the 3x floor the optimisation targeted.
     """
-    fast_victim = AesVictim(_AES_KEY, data_path="fast")
-    seed_victim = AesVictim(_AES_KEY, data_path="reference")
-    fast_machine, seed_machine = Machine(RAPTOR_LAKE), Machine(RAPTOR_LAKE)
+    fast_victim = AesVictim(_AES_KEY)
+    seed_victim = ReferenceAesVictim(_AES_KEY)
+    fast_machine = Machine(RAPTOR_LAKE)
+    seed_machine = ReferenceMachine(RAPTOR_LAKE)
     fast_memory, seed_memory = Memory(), Memory()
 
     def fast():
         return bench_machine_run_aes(fast_victim, fast_machine,
-                                     fast_memory, "fast", "none")
+                                     fast_memory, "none")
 
     def seed_equivalent():
         return bench_machine_run_aes(seed_victim, seed_machine,
-                                     seed_memory, "reference", "full")
+                                     seed_memory, "full")
 
     executed = benchmark.pedantic(fast, rounds=3, iterations=1)
     fast_time = _best_of(fast)
@@ -228,16 +231,17 @@ def test_machine_run_idct_throughput(benchmark):
     codec = JpegCodec()
     blocks = codec.decode_to_blocks(codec.encode(gradient(16)))
     victim = IdctVictim()
-    fast_machine, ref_machine = Machine(RAPTOR_LAKE), Machine(RAPTOR_LAKE)
+    fast_machine = Machine(RAPTOR_LAKE)
+    ref_machine = ReferenceMachine(RAPTOR_LAKE)
     fast_memory, ref_memory = Memory(), Memory()
 
     def fast():
         return bench_machine_run_idct(victim, blocks, fast_machine,
-                                      fast_memory, "fast", "none")
+                                      fast_memory, "none")
 
     def reference():
         return bench_machine_run_idct(victim, blocks, ref_machine,
-                                      ref_memory, "reference", "full")
+                                      ref_memory, "full")
 
     executed = benchmark.pedantic(fast, rounds=3, iterations=1)
     fast_time = _best_of(fast)

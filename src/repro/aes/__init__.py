@@ -10,9 +10,7 @@ into the secret key.
 
 from repro.aes.core import (
     aesenc,
-    aesenc_reference,
     aesenclast,
-    aesenclast_reference,
     encrypt_block,
     decrypt_block,
     reduced_round_ciphertext,
@@ -71,9 +69,7 @@ __all__ = [
     "EqualityLeakAttack",
     "EqualityOracle",
     "aesenc",
-    "aesenc_reference",
     "aesenclast",
-    "aesenclast_reference",
     "cbc_decrypt",
     "cbc_encrypt",
     "cfb_decrypt",

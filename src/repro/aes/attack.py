@@ -332,11 +332,6 @@ class AesSpectreAttack:
                     })
         return self.replay.snapshot_of(key)
 
-    def discard_checkpoints(self) -> None:
-        """Drop cached leak checkpoints (after retraining the machine)."""
-        if self.replay is not None:
-            self.replay.invalidate()
-
     def leak_reduced_round(self, plaintext: bytes, exit_iteration: int,
                            from_checkpoint: Optional[bool] = None,
                            ) -> LeakResult:

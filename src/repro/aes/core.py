@@ -77,9 +77,9 @@ for _out, _in in enumerate(SHIFT_ROWS_MAP):
 # GF(2^8) multiplication tables (fast path)
 # ----------------------------------------------------------------------
 # 256-entry tables for the fixed MixColumns coefficients, built once at
-# import from the bit-serial ``_gf_mul``.  The ``*_reference`` twins
-# below keep the definitional loop form; ``tests/test_aes.py`` pins the
-# two bit-identical (same obligation as the predictor shortcut caches,
+# import from the bit-serial ``_gf_mul``.  The definitional twins live in
+# :mod:`repro.fuzz.twins`; ``tests/test_aes_core.py`` pins the two
+# bit-identical (same obligation as the predictor shortcut caches,
 # DESIGN.md decision 5).
 
 _MUL2 = tuple(_gf_mul(x, 2) for x in range(256))
@@ -152,23 +152,6 @@ def mix_columns(state: bytes) -> bytes:
     return bytes(out)
 
 
-def mix_columns_reference(state: bytes) -> bytes:
-    """Definitional MixColumns via bit-serial ``_gf_mul`` (the twin that
-    pins the table-based :func:`mix_columns`)."""
-    out = bytearray(16)
-    for column in range(4):
-        a = state[4 * column:4 * column + 4]
-        out[4 * column + 0] = (_gf_mul(a[0], 2) ^ _gf_mul(a[1], 3)
-                               ^ a[2] ^ a[3])
-        out[4 * column + 1] = (a[0] ^ _gf_mul(a[1], 2)
-                               ^ _gf_mul(a[2], 3) ^ a[3])
-        out[4 * column + 2] = (a[0] ^ a[1]
-                               ^ _gf_mul(a[2], 2) ^ _gf_mul(a[3], 3))
-        out[4 * column + 3] = (_gf_mul(a[0], 3) ^ a[1]
-                               ^ a[2] ^ _gf_mul(a[3], 2))
-    return bytes(out)
-
-
 def inv_mix_columns(state: bytes) -> bytes:
     """Inverse MixColumns."""
     mul9 = _MUL9
@@ -188,22 +171,6 @@ def inv_mix_columns(state: bytes) -> bytes:
     return bytes(out)
 
 
-def inv_mix_columns_reference(state: bytes) -> bytes:
-    """Definitional inverse MixColumns (twin of :func:`inv_mix_columns`)."""
-    out = bytearray(16)
-    for column in range(4):
-        a = state[4 * column:4 * column + 4]
-        out[4 * column + 0] = (_gf_mul(a[0], 14) ^ _gf_mul(a[1], 11)
-                               ^ _gf_mul(a[2], 13) ^ _gf_mul(a[3], 9))
-        out[4 * column + 1] = (_gf_mul(a[0], 9) ^ _gf_mul(a[1], 14)
-                               ^ _gf_mul(a[2], 11) ^ _gf_mul(a[3], 13))
-        out[4 * column + 2] = (_gf_mul(a[0], 13) ^ _gf_mul(a[1], 9)
-                               ^ _gf_mul(a[2], 14) ^ _gf_mul(a[3], 11))
-        out[4 * column + 3] = (_gf_mul(a[0], 11) ^ _gf_mul(a[1], 13)
-                               ^ _gf_mul(a[2], 9) ^ _gf_mul(a[3], 14))
-    return bytes(out)
-
-
 def add_round_key(state: bytes, round_key: bytes) -> bytes:
     """AddRoundKey: XOR with the 16-byte round key."""
     return bytes(s ^ k for s, k in zip(state, round_key))
@@ -218,8 +185,9 @@ def aesenc(state: bytes, round_key: bytes) -> bytes:
     ``AddRoundKey(MixColumns(ShiftRows(SubBytes(state))), key)``.
 
     SubBytes, ShiftRows and MixColumns are fused into the ``_T0``..``_T3``
-    word tables; :func:`aesenc_reference` keeps the four-stage composition
-    and the property tests pin the two bit-identical.
+    word tables; :func:`repro.fuzz.twins.aesenc_reference` keeps the
+    four-stage composition and the property tests pin the two
+    bit-identical.
     """
     t0 = _T0
     t1 = _T1
@@ -233,23 +201,12 @@ def aesenc(state: bytes, round_key: bytes) -> bytes:
             ^ int.from_bytes(round_key, "little")).to_bytes(16, "little")
 
 
-def aesenc_reference(state: bytes, round_key: bytes) -> bytes:
-    """Stage-by-stage ``aesenc`` (twin of the fused :func:`aesenc`)."""
-    return add_round_key(
-        mix_columns_reference(shift_rows(sub_bytes(state))), round_key)
-
-
 def aesenclast(state: bytes, round_key: bytes) -> bytes:
     """The final AES round (no MixColumns), as ``aesenclast``."""
     sbox = _SBOX_T
     shift = _SHIFT_T
     return bytes(
         sbox[state[shift[i]]] ^ round_key[i] for i in range(16))
-
-
-def aesenclast_reference(state: bytes, round_key: bytes) -> bytes:
-    """Stage-by-stage ``aesenclast`` (twin of :func:`aesenclast`)."""
-    return add_round_key(shift_rows(sub_bytes(state)), round_key)
 
 
 # ----------------------------------------------------------------------

@@ -148,32 +148,37 @@ def recover_key_byte(
 ) -> int:
     """Recover ``k0[index]`` via the differential filter.
 
-    ``oracle`` maps a plaintext block to its two-round ciphertext.
+    ``oracle`` maps a plaintext block to its two-round ciphertext.  While
+    several guesses survive, four more deltas are measured and the filter
+    re-runs over every difference observed so far; no delta is sent to
+    the oracle twice.
     """
     if base_rrc is None:
         base_rrc = oracle(base_plaintext)
     affected = affected_output_bytes(index)
-
+    deltas = tuple(deltas)
     # Observed output differences per delta, per output row.
-    observed = []
-    for delta in deltas:
-        flipped = bytearray(base_plaintext)
-        flipped[index] ^= delta
-        rrc = oracle(bytes(flipped))
-        observed.append([base_rrc[b] ^ rrc[b] for b in affected])
-
-    survivors = key_byte_survivors(base_plaintext[index], index, deltas,
-                                   observed)
-    if len(survivors) == 1:
-        return survivors[0]
-    if not survivors:
-        raise RuntimeError(f"no key-byte candidate survived at index {index}")
-    # Refine ambiguous survivors with extra differences.
-    extra = [d for d in range(1, 256)
-             if d not in deltas][:4]
-    return recover_key_byte(oracle, base_plaintext, index,
-                            base_rrc=base_rrc,
-                            deltas=tuple(deltas) + tuple(extra))
+    observed: List[List[int]] = []
+    new = deltas
+    while True:
+        for delta in new:
+            flipped = bytearray(base_plaintext)
+            flipped[index] ^= delta
+            rrc = oracle(bytes(flipped))
+            observed.append([base_rrc[b] ^ rrc[b] for b in affected])
+        survivors = key_byte_survivors(base_plaintext[index], index, deltas,
+                                       observed)
+        if len(survivors) == 1:
+            return survivors[0]
+        if not survivors:
+            raise RuntimeError(
+                f"no key-byte candidate survived at index {index}")
+        # Refine ambiguous survivors with extra differences.
+        new = tuple(d for d in range(1, 256) if d not in deltas)[:4]
+        if not new:
+            raise RuntimeError(f"{len(survivors)} key-byte candidates "
+                               f"survive every delta at index {index}")
+        deltas += new
 
 
 def recover_key_from_two_round_oracle(

@@ -99,12 +99,15 @@ class AesVictimSpec:
 
     key: bytes
     config: MachineConfig = RAPTOR_LAKE
-    data_path: str = "fast"
     #: Route batched sweeps through the process-global architectural
     #: trace cache: per-plaintext flows that repeat (a second sweep over
     #: the same plaintexts, retries) skip phase-1 interpretation
     #: entirely and replay the captured trace.
     use_trace_cache: bool = False
+
+    #: The victim each worker builds (the reference twin,
+    #: :class:`repro.fuzz.twins.ReferenceAesVictimSpec`, swaps it).
+    _victim = AesVictim
 
 
 #: One trace cache per worker process, shared across contexts so cache
@@ -139,7 +142,7 @@ class VictimTrialContext:
 
     def __init__(self, spec: AesVictimSpec):
         self.spec = spec
-        self.victim = AesVictim(spec.key, data_path=spec.data_path)
+        self.victim = spec._victim(spec.key)
         self.entry = self.victim.program.address_of("aes_encrypt")
         self.machine = Machine(spec.config)
         self.checkpoint = self.machine.snapshot()

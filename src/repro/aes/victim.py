@@ -22,12 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.aes.core import (
-    aesenc,
-    aesenc_reference,
-    aesenclast,
-    aesenclast_reference,
-)
+from repro.aes.core import aesenc, aesenclast
 from repro.aes.keyschedule import expand_key, rounds_for_key
 from repro.isa.builder import ProgramBuilder
 from repro.isa.memory import Memory
@@ -42,23 +37,6 @@ ROUNDS_OFFSET = 0xF0
 
 #: Code base mirroring the paper's Figure 6 disassembly address.
 VICTIM_BASE = 0x0041_0EC0
-
-
-def _read_block(memory, address: int) -> bytes:
-    return memory.read_bytes(address, 16)
-
-
-def _write_block(memory, address: int, block: bytes) -> None:
-    memory.write_bytes(address, block)
-
-
-def _read_block_reference(memory, address: int) -> bytes:
-    return bytes(memory.read(address + i, 1) for i in range(16))
-
-
-def _write_block_reference(memory, address: int, block: bytes) -> None:
-    for i, byte in enumerate(block):
-        memory.write(address + i, 1, byte)
 
 
 def _xor_key0(reads: Dict[str, int], memory) -> Dict[str, int]:
@@ -86,64 +64,24 @@ def _aesenclast_op(reads: Dict[str, int], memory) -> Dict[str, int]:
     return {}
 
 
-def _xor_key0_reference(reads: Dict[str, int], memory) -> Dict[str, int]:
-    """Byte-at-a-time twin of :func:`_xor_key0`."""
-    plaintext = _read_block_reference(memory, PLAINTEXT_ADDRESS)
-    round_key = _read_block_reference(memory, KEY_BASE)
-    _write_block_reference(memory, STATE_ADDRESS,
-                           bytes(p ^ k for p, k in zip(plaintext, round_key)))
-    return {}
-
-
-def _aesenc_op_reference(reads: Dict[str, int], memory) -> Dict[str, int]:
-    """Twin of :func:`_aesenc_op` on the definitional AES round."""
-    state = _read_block_reference(memory, STATE_ADDRESS)
-    round_key = _read_block_reference(memory, reads["rbx"])
-    _write_block_reference(memory, STATE_ADDRESS,
-                           aesenc_reference(state, round_key))
-    return {}
-
-
-def _aesenclast_op_reference(reads: Dict[str, int], memory) -> Dict[str, int]:
-    """Twin of :func:`_aesenclast_op` on the definitional last round."""
-    state = _read_block_reference(memory, STATE_ADDRESS)
-    round_key = _read_block_reference(memory, reads["rbx"])
-    _write_block_reference(memory, CIPHERTEXT_ADDRESS,
-                           aesenclast_reference(state, round_key))
-    return {}
-
-
-#: The two interchangeable PyOp data paths.  ``'fast'`` uses the fused
-#: table-based AES rounds and block-wide memory I/O; ``'reference'``
-#: keeps the stage-by-stage rounds over byte-at-a-time I/O (the seed
-#: behaviour, and the baseline for the throughput benchmarks).  Property
-#: tests pin the two to identical ciphertexts and branch traces.
-DATA_PATHS = {
-    "fast": (_xor_key0, _aesenc_op, _aesenclast_op),
-    "reference": (_xor_key0_reference, _aesenc_op_reference,
-                  _aesenclast_op_reference),
-}
-
-
 class AesVictim:
-    """Builds and provisions the looped AES victim.
+    """Builds and provisions the looped AES victim."""
 
-    ``data_path`` selects the PyOp implementations (see
-    :data:`DATA_PATHS`); the control-flow skeleton -- the part the
-    Pathfinder attack consumes -- is identical either way.
-    """
+    #: The ``(xor_key0, aesenc, aesenclast)`` PyOps: fused table-based
+    #: rounds over block-wide memory I/O.  The byte-at-a-time reference
+    #: twin (:class:`repro.fuzz.twins.ReferenceAesVictim`) swaps them;
+    #: the control-flow skeleton -- the part the Pathfinder attack
+    #: consumes -- is identical either way.
+    _pyops = (_xor_key0, _aesenc_op, _aesenclast_op)
 
-    def __init__(self, key: bytes, data_path: str = "fast"):
-        if data_path not in DATA_PATHS:
-            raise ValueError(f"unknown data path {data_path!r}")
+    def __init__(self, key: bytes):
         self.key = key
-        self.data_path = data_path
         self.rounds = rounds_for_key(key)
         self.round_keys: List[bytes] = expand_key(key)
         self.program = self._build_program()
 
     def _build_program(self) -> Program:
-        xor_key0, aesenc_op, aesenclast_op = DATA_PATHS[self.data_path]
+        xor_key0, aesenc_op, aesenclast_op = self._pyops
         b = ProgramBuilder("aes_looped", base=VICTIM_BASE)
         b.label("aes_encrypt")
         b.mov_imm("rdx", KEY_BASE)

@@ -368,13 +368,6 @@ class BatchMachine:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_machine(cls, machine, n: int) -> "BatchMachine":
-        """N replicas of ``machine``'s current microarchitectural state."""
-        batch = cls(n, machine.config)
-        batch.load_snapshot(machine.snapshot())
-        return batch
-
-    @classmethod
     def from_snapshot(cls, config: MachineConfig, snap: MachineSnapshot,
                       n: int) -> "BatchMachine":
         """N replicas seeded from a scalar :class:`MachineSnapshot`."""

@@ -146,11 +146,9 @@ class _MachineHooks(CpuHooks):
         self.thread = thread
         self.speculate = speculate
         #: Filled in by Machine.run before execution starts.
-        self.interpreter: Optional[Interpreter] = None
         self.state: Optional[CpuState] = None
         self.memory: Optional[Memory] = None
-        #: The wrong-path runner matching the selected engine
-        #: (Interpreter.run_transient or run_transient_reference).
+        #: The wrong-path runner of the interpreter executing the run.
         self.run_transient = None
 
     def conditional_branch(self, pc: int, target: int, fallthrough: int,
@@ -183,6 +181,10 @@ class _MachineHooks(CpuHooks):
 
 class Machine:
     """One simulated physical core."""
+
+    #: The interpreter :meth:`run` drives.  The dispatch-loop reference
+    #: twin (:class:`repro.fuzz.twins.ReferenceMachine`) swaps it.
+    _interpreter = Interpreter
 
     def __init__(self, config: MachineConfig = RAPTOR_LAKE):
         self.config = config
@@ -475,7 +477,6 @@ class Machine:
         max_instructions: int = 2_000_000,
         speculate: bool = True,
         trace: str = "full",
-        engine: str = "fast",
         on_limit: str = "raise",
     ) -> MachineRunResult:
         """Run ``program`` on logical thread ``thread``.
@@ -484,46 +485,31 @@ class Machine:
         this run and the thread's final PHR value.  ``trace`` selects how
         much of the branch trace is materialised
         (``'full'``/``'branches'``/``'none'``, see
-        :meth:`repro.isa.interpreter.Interpreter.run`).  ``engine`` picks
-        the predecoded fast path (``'fast'``, the default) or the retained
-        dispatch-loop twin (``'reference'``); the two are pinned
-        bit-identical by tests, so ``'reference'`` exists for equivalence
-        checks and as the speedup baseline of
-        ``benchmarks/bench_simulator_throughput.py``.  ``on_limit='stop'``
+        :meth:`repro.isa.interpreter.Interpreter.run`).  ``on_limit='stop'``
         makes the instruction budget a pause point instead of an error:
         the run returns ``halted=False`` with ``execution.next_pc`` set,
         and can be resumed by calling :meth:`run` again with the same
         state/memory and ``entry=execution.next_pc`` (the machine-side
         predictor state simply carries over).
         """
-        if engine not in ("fast", "reference"):
-            raise ValueError(f"unknown engine {engine!r}")
         # Runs mutate state through too many paths (transient loads, perf
         # side counters) to rely on component epochs alone.
         self._mutation_epoch += 1
         context = self.threads[thread]
         hooks = _MachineHooks(self, context, speculate)
-        interpreter = Interpreter(program, hooks)
+        interpreter = self._interpreter(program, hooks)
         if state is None:
             state = CpuState()
         if memory is None:
             memory = Memory()
-        hooks.interpreter = interpreter
         hooks.state = state
         hooks.memory = memory
-        hooks.run_transient = (interpreter.run_transient if engine == "fast"
-                               else interpreter.run_transient_reference)
+        hooks.run_transient = interpreter.run_transient
 
         before = self.perf.snapshot()
-        if engine == "fast":
-            execution = interpreter.run(state=state, memory=memory,
-                                        entry=entry,
-                                        max_instructions=max_instructions,
-                                        trace=trace, on_limit=on_limit)
-        else:
-            execution = interpreter.run_reference(
-                state=state, memory=memory, entry=entry,
-                max_instructions=max_instructions, on_limit=on_limit)
+        execution = interpreter.run(state=state, memory=memory, entry=entry,
+                                    max_instructions=max_instructions,
+                                    trace=trace, on_limit=on_limit)
         return MachineRunResult(
             execution=execution,
             perf=self.perf.delta(before),

@@ -201,39 +201,6 @@ class PathHistoryRegister:
         """An independent copy (of the same register family)."""
         return type(self)(self.capacity, self._value)
 
-    # ----- array export / import ---------------------------------------------
-
-    def export_bits(self) -> List[int]:
-        """The register contents as an LSB-first bit list.
-
-        This is the array-state form the vectorized batch engine
-        (:mod:`repro.batch`) keeps per replica: element ``i`` is bit ``i``
-        of :attr:`value`, and the length is always ``2 * capacity``.
-        """
-        value = self._value
-        return [(value >> index) & 1 for index in range(2 * self.capacity)]
-
-    @staticmethod
-    def pack_bits(bits_lsb_first) -> int:
-        """Inverse of :meth:`export_bits`: bit sequence -> register value.
-
-        Accepts any sequence of 0/1-valued items (including a numpy row),
-        least significant bit first.
-        """
-        value = 0
-        for index, bit_value in enumerate(bits_lsb_first):
-            if bit_value:
-                value |= 1 << index
-        return value
-
-    def restore_bits(self, bits_lsb_first) -> None:
-        """Load an :meth:`export_bits`-shaped bit sequence.
-
-        Journal/version semantics match :meth:`restore`: consumers of
-        folded history resync afterwards.
-        """
-        self.restore(self.pack_bits(bits_lsb_first))
-
     # ----- checkpointing ------------------------------------------------------
 
     def snapshot(self) -> int:

@@ -492,10 +492,6 @@ class TaggedTable:
             ]
         self._populated = set(snap)
 
-    def set_occupancy(self, index: int) -> int:
-        """Live ways in set ``index``."""
-        return len(self._sets[index])
-
 
 # ----- array export / import --------------------------------------------
 #

@@ -6,6 +6,8 @@ interpreter engines, the incremental vs refold predictor index caches,
 and the T-table vs byte-at-a-time AES data paths.  This package pits
 them against each other over seeded random programs:
 
+* :mod:`repro.fuzz.twins` -- the reference and naive twins themselves,
+  kept out of the production call graph;
 * :mod:`repro.fuzz.generator` -- shape-based ISA program generation
   (terminating by construction, rebuildable from ``(seed, index)``);
 * :mod:`repro.fuzz.diff` -- the differential harness (every engine and

@@ -129,8 +129,11 @@ def _fuzz_setup(spec: dict) -> dict:
     return spec
 
 
-def _fuzz_trial(context: dict, index: int, rng: Any) -> Tuple[int, List[str]]:
-    """Check one program (plus its AES interleave); returns divergences.
+def _fuzz_trial(context: dict, index: int,
+                rng: Any) -> Tuple[int, List[str], int]:
+    """Check one program (plus its AES interleave).
+
+    Returns ``(index, divergence lines, twin comparisons run)``.
 
     ``index`` is trial-local; ``context['base']`` shifts it to the
     campaign's absolute program index.  Only string summaries cross the
@@ -148,12 +151,11 @@ def _fuzz_trial(context: dict, index: int, rng: Any) -> Tuple[int, List[str]]:
         divergences += check_program_backends(
             fuzz_program, backends=backends, machine_mutator=mutator,
             oracle_stride=context["oracle_stride"])
-    lines = [str(d) for d in divergences]
     aes_every = context["aes_every"]
     if aes_every and index % aes_every == 0:
         aes_rng = DeterministicRng(context["seed"] ^ 0xAE5).fork(index)
-        lines += [str(d) for d in check_aes_data_paths(aes_rng)]
-    return index, lines
+        divergences += check_aes_data_paths(aes_rng)
+    return index, [str(d) for d in divergences], divergences.comparisons
 
 
 def _shrink_and_persist(seed: int, index: int, profile: str,
@@ -230,6 +232,7 @@ def _campaign(args, workers: int, out) -> int:
     started = time.perf_counter()
     failures: List[Tuple[int, List[str]]] = []
     done = 0
+    comparisons = 0
     budget_hit = False
     indices = list(range(args.start, args.start + args.programs))
     spec = {
@@ -260,8 +263,9 @@ def _campaign(args, workers: int, out) -> int:
             results = [
                 _fuzz_trial(base_spec, index, None) for index in batch
             ]
-        for index, lines in results:
+        for index, lines, compared in results:
             done += 1
+            comparisons += compared
             if lines:
                 failures.append((index, lines))
         if not args.quiet:
@@ -284,9 +288,9 @@ def _campaign(args, workers: int, out) -> int:
     elapsed = time.perf_counter() - started
     status = "BUDGET EXHAUSTED" if budget_hit else "complete"
     verdict = "CLEAN" if not failures else f"{len(failures)} FAILING"
-    print(f"fuzz {status}: {done} programs in {elapsed:.1f}s "
-          f"(seed {args.seed}, profile {profile}, workers {workers}) "
-          f"-- {verdict}", file=out)
+    print(f"fuzz {status}: {done} programs, {comparisons} twin comparisons "
+          f"in {elapsed:.1f}s (seed {args.seed}, profile {profile}, "
+          f"workers {workers}) -- {verdict}", file=out)
     return 1 if failures else 0
 
 

@@ -3,12 +3,13 @@
 Arms per program (all on fresh machines of the program's preset):
 
 ``reference``
-    ``engine='reference'`` -- the isinstance-dispatch interpreter twin,
-    full trace.  This is the baseline digest.
+    :class:`~repro.fuzz.twins.ReferenceMachine` -- the isinstance-dispatch
+    interpreter twin, full trace.  This is the baseline digest.
 ``fast``
-    ``engine='fast'``, ``trace='full'`` -- the predecoded threaded-code
-    twin.  Compared bit-for-bit against ``reference``: registers, flags,
-    call stack, memory, dynamic branch trace, perf counters, PHR value,
+    The production :class:`~repro.cpu.machine.Machine`, ``trace='full'``
+    -- the predecoded threaded-code twin.  Compared bit-for-bit against
+    ``reference``: registers, flags, call stack, memory, dynamic branch
+    trace, perf counters, PHR value,
     every predictor structure, and the per-commit branch-resolution
     stream captured through :attr:`Machine.branch_observer`.
 ``fast/branches`` and ``fast/none``
@@ -50,6 +51,7 @@ from repro.cpu.machine import Machine, MachineSnapshot
 from repro.cpu.serialize import SnapshotFormatError
 from repro.fuzz.generator import FuzzProgram
 from repro.fuzz.oracle import InvariantOracle, InvariantViolation
+from repro.fuzz.twins import ReferenceAesVictim, ReferenceMachine
 from repro.isa.interpreter import CpuState
 from repro.isa.memory import Memory
 from repro.isa.trace import TraceCache
@@ -60,6 +62,9 @@ DEFAULT_ORACLE_STRIDE = 32
 
 #: A mutator receives the freshly built fast-arm machine before the run.
 MachineMutator = Callable[[Machine], None]
+
+#: The machine class behind each :func:`run_arm` engine name.
+ENGINES = {"fast": Machine, "reference": ReferenceMachine}
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,31 @@ class Divergence:
 
     def __str__(self) -> str:
         return f"[{self.arm}] {self.kind}: {self.detail}"
+
+
+class CheckResult(list):
+    """The divergences a check found, plus how many twin comparisons ran.
+
+    A plain list of :class:`Divergence` (so ``result == []`` still reads
+    "clean") whose :attr:`comparisons` counts every pair of arms that was
+    actually compared.  ``+=`` merges both.  An arm that is skipped --
+    no numpy, an unsupported preset, an installed mutator -- adds
+    nothing, so the total shows when a twin arm stops running.
+    """
+
+    comparisons = 0
+
+    def __iadd__(self, other):
+        self.extend(other)
+        self.comparisons += getattr(other, "comparisons", 0)
+        return self
+
+
+def _one_comparison(divergences=()) -> CheckResult:
+    """The result of a single twin comparison."""
+    result = CheckResult(divergences)
+    result.comparisons = 1
+    return result
 
 
 @dataclass
@@ -125,6 +155,26 @@ def machine_fingerprint(machine: Machine) -> tuple:
     )
 
 
+def _digest(result, memory: Memory, machine: Machine, commits=(),
+            trace: Optional[tuple] = None) -> ArmDigest:
+    """Everything observable from a finished run of ``machine``."""
+    state = result.execution.state
+    flags = state.flags
+    return ArmDigest(
+        regs=dict(state.regs),
+        flags=(flags.zero, flags.sign, flags.carry),
+        call_stack=tuple(state.call_stack),
+        memory=memory.snapshot(),
+        trace=tuple(result.execution.trace) if trace is None else trace,
+        instructions=result.execution.instructions,
+        halted=result.execution.halted,
+        perf=result.perf,
+        phr_value=result.phr_value,
+        fingerprint=machine_fingerprint(machine),
+        commits=tuple(commits),
+    )
+
+
 def _provision_memory(fuzz_program: FuzzProgram) -> Memory:
     memory = Memory()
     for address, value in fuzz_program.initial_memory:
@@ -140,9 +190,13 @@ def run_arm(
     oracle_stride: int = DEFAULT_ORACLE_STRIDE,
     machine: Optional[Machine] = None,
 ) -> ArmDigest:
-    """Run one arm on a fresh (or supplied) machine and digest everything."""
+    """Run one arm on a fresh (or supplied) machine and digest everything.
+
+    ``engine`` names the class of a freshly built machine (see
+    :data:`ENGINES`); a supplied ``machine`` runs as it is.
+    """
     if machine is None:
-        machine = Machine(fuzz_program.machine_config)
+        machine = ENGINES[engine](fuzz_program.machine_config)
         if machine_mutator is not None:
             machine_mutator(machine)
     oracle = InvariantOracle(machine, stride=oracle_stride)
@@ -165,7 +219,6 @@ def run_arm(
             state=state,
             memory=memory,
             max_instructions=fuzz_program.max_instructions,
-            engine=engine,
             trace=trace,
         )
         oracle.final_check()
@@ -183,20 +236,7 @@ def run_arm(
             fingerprint=machine_fingerprint(machine),
             commits=tuple(commits), oracle_violation=violation,
         )
-    flags = result.state.flags
-    return ArmDigest(
-        regs={reg: value for reg, value in result.state.regs.items()},
-        flags=(flags.zero, flags.sign, flags.carry),
-        call_stack=tuple(result.state.call_stack),
-        memory=memory.snapshot(),
-        trace=tuple(result.execution.trace),
-        instructions=result.execution.instructions,
-        halted=result.execution.halted,
-        perf=result.perf,
-        phr_value=result.phr_value,
-        fingerprint=machine_fingerprint(machine),
-        commits=tuple(commits),
-    )
+    return _digest(result, memory, machine, commits)
 
 
 def _first_difference(label: str, a: tuple, b: tuple) -> str:
@@ -211,7 +251,7 @@ def _first_difference(label: str, a: tuple, b: tuple) -> str:
 def _compare(arm: str, baseline: ArmDigest, candidate: ArmDigest,
              compare_trace: bool = True) -> List[Divergence]:
     """Field-by-field digest comparison with first-mismatch reporting."""
-    out: List[Divergence] = []
+    out = _one_comparison()
 
     def check(kind: str, left, right, sequence: bool = False) -> None:
         if left != right:
@@ -255,13 +295,8 @@ def check_program(
     oracle_stride: int = DEFAULT_ORACLE_STRIDE,
 ) -> List[Divergence]:
     """Run every arm for one program; return all divergences found."""
-    reference = run_arm(fuzz_program, engine="reference",
-                        oracle_stride=oracle_stride)
-    fast = run_arm(fuzz_program, engine="fast", trace="full",
-                   machine_mutator=machine_mutator,
-                   oracle_stride=oracle_stride)
-    divergences = _compare("fast-vs-reference", reference, fast)
-
+    divergences, fast = _family_generic_arms(fuzz_program, machine_mutator,
+                                             oracle_stride)
     for mode in ("branches", "none"):
         arm = run_arm(fuzz_program, engine="fast", trace=mode,
                       machine_mutator=machine_mutator,
@@ -281,15 +316,34 @@ def check_program(
                     name, "trace",
                     f"trace='none' materialised {len(arm.trace)} records"))
 
-    divergences += _check_snapshot_replay(fuzz_program, machine_mutator,
-                                          oracle_stride)
-    divergences += _check_snapshot_serialization(fuzz_program,
-                                                 machine_mutator)
     divergences += _check_prefix_replay(fuzz_program, fast, machine_mutator,
                                         oracle_stride)
-    divergences += _check_batch_twin(fuzz_program, machine_mutator)
-    divergences += _check_shared_trace(fuzz_program, machine_mutator)
     return divergences
+
+
+def _family_generic_arms(
+    fuzz_program: FuzzProgram,
+    machine_mutator: Optional[MachineMutator],
+    oracle_stride: int,
+    arm_prefix: str = "",
+) -> Tuple[CheckResult, ArmDigest]:
+    """Reference-vs-fast engines, snapshot replay, snapshot wire format
+    and the batch arms; returns their divergences and the fast arm."""
+    reference = run_arm(fuzz_program, engine="reference",
+                        oracle_stride=oracle_stride)
+    fast = run_arm(fuzz_program, engine="fast", trace="full",
+                   machine_mutator=machine_mutator,
+                   oracle_stride=oracle_stride)
+    divergences = _compare(f"{arm_prefix}fast-vs-reference", reference, fast)
+    divergences += _check_snapshot_replay(
+        fuzz_program, machine_mutator, oracle_stride, arm_prefix=arm_prefix)
+    divergences += _check_snapshot_serialization(
+        fuzz_program, machine_mutator, arm_prefix=arm_prefix)
+    divergences += _check_batch_twin(fuzz_program, machine_mutator,
+                                     arm_prefix=arm_prefix)
+    divergences += _check_shared_trace(fuzz_program, machine_mutator,
+                                       arm_prefix=arm_prefix)
+    return divergences, fast
 
 
 def check_program_backends(
@@ -318,28 +372,69 @@ def check_program_backends(
     if backends is None:
         backends = tuple(model_ids())
     own = fuzz_program.machine_config.predictor_model
-    divergences: List[Divergence] = []
+    divergences = CheckResult()
     for model_id in backends:
         if model_id == own:
             continue
-        variant = fuzz_program.with_predictor_model(model_id)
-        prefix = f"{model_id}:"
-        reference = run_arm(variant, engine="reference",
-                            oracle_stride=oracle_stride)
-        fast = run_arm(variant, engine="fast", trace="full",
-                       machine_mutator=machine_mutator,
-                       oracle_stride=oracle_stride)
-        divergences += _compare(f"{prefix}fast-vs-reference",
-                                reference, fast)
-        divergences += _check_snapshot_replay(
-            variant, machine_mutator, oracle_stride, arm_prefix=prefix)
-        divergences += _check_snapshot_serialization(
-            variant, machine_mutator, arm_prefix=prefix)
-        divergences += _check_batch_twin(
-            variant, machine_mutator, arm_prefix=prefix)
-        divergences += _check_shared_trace(
-            variant, machine_mutator, arm_prefix=prefix)
+        divergences += _family_generic_arms(
+            fuzz_program.with_predictor_model(model_id), machine_mutator,
+            oracle_stride, arm_prefix=f"{model_id}:")[0]
     return divergences
+
+
+def _scalar_twins(fuzz_program: FuzzProgram, n: int) -> List[tuple]:
+    """``n`` fresh scalar ``speculate=False`` runs of the program, each
+    as ``(result, memory, final machine snapshot)``."""
+    twins = []
+    for _ in range(n):
+        machine = Machine(fuzz_program.machine_config)
+        memory = _provision_memory(fuzz_program)
+        result = machine.run(
+            fuzz_program.program, memory=memory,
+            max_instructions=fuzz_program.max_instructions,
+            speculate=False, trace="full")
+        twins.append((result, memory, machine.snapshot()))
+    return twins
+
+
+def _compare_replica(arm: str, got, memory: Memory, extracted,
+                     scalar: tuple) -> CheckResult:
+    """One batch replica (its result, memory and extracted snapshot)
+    against its scalar twin, observable by observable."""
+    scalar_result, scalar_memory, scalar_snap = scalar
+    out = _one_comparison()
+
+    def check(kind: str, left, right) -> None:
+        if left != right:
+            out.append(Divergence(arm, kind, f"{left!r} != {right!r}"))
+
+    check("trace", tuple(got.trace), tuple(scalar_result.trace))
+    check("perf", got.perf, scalar_result.perf)
+    check("phr", got.phr_value, scalar_result.phr_value)
+    check("instructions", got.execution.instructions,
+          scalar_result.execution.instructions)
+    check("registers", dict(got.state.regs), dict(scalar_result.state.regs))
+    check("memory", memory.snapshot(), scalar_memory.snapshot())
+    if extracted != scalar_snap:
+        out.append(Divergence(arm, "snapshot",
+                              "extracted snapshot differs from scalar twin"))
+    return out
+
+
+def _batch_engine(fuzz_program: FuzzProgram,
+                  machine_mutator: Optional[MachineMutator]):
+    """``BatchMachine`` when the batch arms apply to this program, else
+    ``None``: mutators perturb scalar machines only, numpy is optional,
+    and not every preset has a batch backend."""
+    if machine_mutator is not None:
+        return None
+    try:
+        from repro.batch import BatchMachine, supports_config
+    except ImportError:
+        return None
+    if not supports_config(fuzz_program.machine_config):
+        return None
+    return BatchMachine
 
 
 def _check_batch_twin(
@@ -357,53 +452,21 @@ def _check_batch_twin(
     bit-identity contract (the property half lives in
     ``tests/test_batch_equivalence.py``).
     """
-    if machine_mutator is not None:
-        return []  # mutators perturb scalar machines only
-    try:
-        from repro.batch import BatchMachine, supports_config
-    except ImportError:
-        return []  # numpy not available: the batch engine is optional
-    config = fuzz_program.machine_config
-    if not supports_config(config):
+    BatchMachine = _batch_engine(fuzz_program, machine_mutator)
+    if BatchMachine is None:
         return []
-
     n = 2
-    scalar_runs = []
-    for _ in range(n):
-        machine = Machine(config)
-        memory = _provision_memory(fuzz_program)
-        result = machine.run(
-            fuzz_program.program, memory=memory,
-            max_instructions=fuzz_program.max_instructions,
-            speculate=False, trace="full")
-        scalar_runs.append((result, memory, machine.snapshot()))
-
-    batch = BatchMachine(n, config)
+    scalars = _scalar_twins(fuzz_program, n)
+    batch = BatchMachine(n, fuzz_program.machine_config)
     memories = [_provision_memory(fuzz_program) for _ in range(n)]
     results = batch.run_batch(
         fuzz_program.program, memories,
         max_instructions=fuzz_program.max_instructions, trace="full")
-
-    divergences: List[Divergence] = []
+    divergences = CheckResult()
     for i in range(n):
-        scalar_result, scalar_memory, scalar_snap = scalar_runs[i]
-        got = results[i]
-        arm = f"{arm_prefix}batch-twin[{i}]"
-
-        def check(kind: str, left, right, arm=arm) -> None:
-            if left != right:
-                divergences.append(
-                    Divergence(arm, kind, f"{left!r} != {right!r}"))
-
-        check("trace", tuple(got.trace), tuple(scalar_result.trace))
-        check("perf", got.perf, scalar_result.perf)
-        check("phr", got.phr_value, scalar_result.phr_value)
-        check("instructions", got.execution.instructions,
-              scalar_result.execution.instructions)
-        check("registers", dict(got.state.regs),
-              dict(scalar_result.state.regs))
-        check("memory", memories[i].snapshot(), scalar_memory.snapshot())
-        check("snapshot", batch.extract(i), scalar_snap)
+        divergences += _compare_replica(
+            f"{arm_prefix}batch-twin[{i}]", results[i], memories[i],
+            batch.extract(i), scalars[i])
     return divergences
 
 
@@ -425,47 +488,13 @@ def _check_shared_trace(
       replica a cache hit, phase 1 fully skipped) must match the scalar
       twins just as exactly, and the cache must report zero divergences.
     """
-    if machine_mutator is not None:
-        return []  # mutators perturb scalar machines only
-    try:
-        from repro.batch import BatchMachine, supports_config
-    except ImportError:
-        return []  # numpy not available: the batch engine is optional
-
-    config = fuzz_program.machine_config
-    if not supports_config(config):
+    BatchMachine = _batch_engine(fuzz_program, machine_mutator)
+    if BatchMachine is None:
         return []
-
+    config = fuzz_program.machine_config
     n = 2
-    divergences: List[Divergence] = []
-
-    def compare(arm: str, got, result_memory, scalar) -> None:
-        scalar_result, scalar_memory, scalar_snap = scalar
-
-        def check(kind: str, left, right) -> None:
-            if left != right:
-                divergences.append(
-                    Divergence(arm, kind, f"{left!r} != {right!r}"))
-
-        check("trace", tuple(got.trace), tuple(scalar_result.trace))
-        check("perf", got.perf, scalar_result.perf)
-        check("phr", got.phr_value, scalar_result.phr_value)
-        check("instructions", got.execution.instructions,
-              scalar_result.execution.instructions)
-        check("registers", dict(got.state.regs),
-              dict(scalar_result.state.regs))
-        check("memory", result_memory.snapshot(), scalar_memory.snapshot())
-
-    def scalar_run():
-        machine = Machine(config)
-        memory = _provision_memory(fuzz_program)
-        result = machine.run(
-            fuzz_program.program, memory=memory,
-            max_instructions=fuzz_program.max_instructions,
-            speculate=False, trace="full")
-        return result, memory, machine.snapshot()
-
-    scalars = [scalar_run() for _ in range(n)]
+    scalars = _scalar_twins(fuzz_program, n)
+    divergences = CheckResult()
 
     # Sub-arm 1: one phase-1 run broadcast to every replica.
     batch = BatchMachine(n, config)
@@ -475,13 +504,9 @@ def _check_shared_trace(
         max_instructions=fuzz_program.max_instructions, trace="full",
         shared_input=shared_memory)
     for i in range(n):
-        compare(f"{arm_prefix}shared-trace[{i}]", results[i], shared_memory,
-                scalars[i])
-        snap = batch.extract(i)
-        if snap != scalars[i][2]:
-            divergences.append(Divergence(
-                f"{arm_prefix}shared-trace[{i}]", "snapshot",
-                "extracted snapshot differs from scalar twin"))
+        divergences += _compare_replica(
+            f"{arm_prefix}shared-trace[{i}]", results[i], shared_memory,
+            batch.extract(i), scalars[i])
 
     # Sub-arm 2: cold capture then warm replay through the trace cache.
     cache = TraceCache()
@@ -499,13 +524,9 @@ def _check_shared_trace(
                 f"{type(exc).__name__}: {exc}"))
             return divergences
         for i in range(n):
-            compare(f"{arm_prefix}cached-trace-{label}[{i}]", results[i],
-                    memories[i], scalars[i])
-            snap = batch.extract(i)
-            if snap != scalars[i][2]:
-                divergences.append(Divergence(
-                    f"{arm_prefix}cached-trace-{label}[{i}]", "snapshot",
-                    "extracted snapshot differs from scalar twin"))
+            divergences += _compare_replica(
+                f"{arm_prefix}cached-trace-{label}[{i}]", results[i],
+                memories[i], batch.extract(i), scalars[i])
     if cache.stats.divergences:
         divergences.append(Divergence(
             f"{arm_prefix}cached-trace", "cache",
@@ -566,19 +587,18 @@ def _check_snapshot_serialization(
     try:
         restored = MachineSnapshot.from_bytes(snap.to_bytes())
     except SnapshotFormatError as exc:
-        return [Divergence(arm, "format", str(exc))]
+        return _one_comparison([Divergence(arm, "format", str(exc))])
     if restored != snap:
-        return [Divergence(arm, "round-trip",
-                           "deserialized snapshot != live snapshot")]
+        return _one_comparison([Divergence(
+            arm, "round-trip", "deserialized snapshot != live snapshot")])
 
     twin = Machine(fuzz_program.machine_config)
     twin.restore(restored)
     left = machine_fingerprint(machine)
     right = machine_fingerprint(twin)
-    if left == right:
-        return []
-    return [Divergence(arm, f"machine.{name}", f"{a!r} != {b!r}")
-            for name, a, b in zip(FINGERPRINT_NAMES, left, right) if a != b]
+    return _one_comparison(
+        Divergence(arm, f"machine.{name}", f"{a!r} != {b!r}")
+        for name, a, b in zip(FINGERPRINT_NAMES, left, right) if a != b)
 
 
 def _check_prefix_replay(
@@ -619,22 +639,6 @@ def _check_prefix_replay(
                         perf.conditional_mispredictions))
         oracle.after_commit(pc)
 
-    def digest(result, memory, trace, commit_slice) -> ArmDigest:
-        flags = result.execution.state.flags
-        return ArmDigest(
-            regs=dict(result.execution.state.regs),
-            flags=(flags.zero, flags.sign, flags.carry),
-            call_stack=tuple(result.execution.state.call_stack),
-            memory=memory.snapshot(),
-            trace=trace,
-            instructions=result.execution.instructions,
-            halted=result.execution.halted,
-            perf=result.perf,
-            phr_value=result.phr_value,
-            fingerprint=machine_fingerprint(machine),
-            commits=commit_slice,
-        )
-
     machine.branch_observer = observer
     state = CpuState()
     memory = _provision_memory(fuzz_program)
@@ -659,16 +663,14 @@ def _check_prefix_replay(
             entry=prefix.execution.next_pc,
             max_instructions=suffix_budget, trace="full")
         oracle.final_check()
-        stitched = digest(first, memory, trace=tuple(
-            prefix.execution.trace) + tuple(first.execution.trace),
-            commit_slice=tuple(commits))
+        stitched = _digest(first, memory, machine, commits, trace=tuple(
+            prefix.execution.trace) + tuple(first.execution.trace))
         stitched.instructions = split + first.execution.instructions
         stitched.perf = perf.delta(before)
         divergences = _compare("prefix-replay", straight, stitched)
 
-        first_digest = digest(first, memory,
-                              trace=tuple(first.execution.trace),
-                              commit_slice=tuple(commits[prefix_commits:]))
+        first_digest = _digest(first, memory, machine,
+                               commits[prefix_commits:])
         machine.restore(snap)
         replay_start = len(commits)
         second = machine.run(
@@ -676,9 +678,8 @@ def _check_prefix_replay(
             entry=prefix.execution.next_pc,
             max_instructions=suffix_budget, trace="full")
         oracle.final_check()
-        second_digest = digest(second, memory_copy,
-                               trace=tuple(second.execution.trace),
-                               commit_slice=tuple(commits[replay_start:]))
+        second_digest = _digest(second, memory_copy, machine,
+                                commits[replay_start:])
         divergences += _compare("suffix-replay", first_digest, second_digest)
         return divergences
     except InvariantViolation as exc:
@@ -704,8 +705,9 @@ def check_aes_data_paths(rng: DeterministicRng) -> List[Divergence]:
     plaintext = rng.bytes(16)
     digests = {}
     ciphertexts = {}
-    for data_path in ("fast", "reference"):
-        victim = AesVictim(key, data_path=data_path)
+    for data_path, victim_class in (("fast", AesVictim),
+                                    ("reference", ReferenceAesVictim)):
+        victim = victim_class(key)
         machine = Machine(RAPTOR_LAKE)
         oracle = InvariantOracle(machine, stride=DEFAULT_ORACLE_STRIDE)
         machine.branch_observer = oracle
@@ -719,20 +721,7 @@ def check_aes_data_paths(rng: DeterministicRng) -> List[Divergence]:
         finally:
             machine.branch_observer = None
         ciphertexts[data_path] = victim.read_ciphertext(memory)
-        flags = result.state.flags
-        digests[data_path] = ArmDigest(
-            regs=dict(result.state.regs),
-            flags=(flags.zero, flags.sign, flags.carry),
-            call_stack=tuple(result.state.call_stack),
-            memory=memory.snapshot(),
-            trace=tuple(result.execution.trace),
-            instructions=result.execution.instructions,
-            halted=result.execution.halted,
-            perf=result.perf,
-            phr_value=result.phr_value,
-            fingerprint=machine_fingerprint(machine),
-            commits=(),
-        )
+        digests[data_path] = _digest(result, memory, machine)
     divergences = _compare("aes-data-path", digests["reference"],
                            digests["fast"])
     if ciphertexts["fast"] != ciphertexts["reference"]:

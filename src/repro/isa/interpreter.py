@@ -12,10 +12,10 @@ program compiles every static instruction into a bound handler closure
 (:mod:`repro.isa.predecode`), so the hot loop is one dict index plus one
 call per dynamic instruction -- no ``isinstance`` chain, no per-branch
 label resolution.  Per DESIGN.md decision 5 the original dispatch loops
-survive as :meth:`Interpreter.run_reference` and
-:meth:`Interpreter.run_transient_reference`, and property tests pin the
-two paths bit-identical (registers, flags, memory, trace, perf-counter
-deltas, transient-executed counts).
+survive as the reference twin :class:`repro.fuzz.twins.ReferenceInterpreter`,
+outside the production call graph, and property tests pin the two paths
+bit-identical (registers, flags, memory, trace, perf-counter deltas,
+transient-executed counts).
 
 Committed runs accept ``trace='full'|'branches'|'none'``: ``full``
 records every dynamic branch (the default, and the reference twin's only
@@ -37,25 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional
 
-from repro.isa.instructions import (
-    WORD_BITS,
-    WORD_MASK,
-    BinaryOp,
-    Call,
-    CondBranch,
-    Flags,
-    Halt,
-    Jump,
-    JumpIndirect,
-    Load,
-    Mov,
-    MovImm,
-    Nop,
-    PyOp,
-    Ret,
-    Store,
-    compute_flags as _compute_flags,
-)
+from repro.isa.instructions import WORD_BITS, WORD_MASK, Flags
 from repro.isa.memory import Memory, TransientMemory
 from repro.isa.predecode import TRACE_MODES, BranchKind, BranchRecord
 from repro.isa.program import Program, ProgramError
@@ -246,162 +228,6 @@ class Interpreter:
                                state=state, halted=True)
 
     # ------------------------------------------------------------------
-    # committed execution (reference dispatch-loop twin)
-    # ------------------------------------------------------------------
-
-    def run_reference(
-        self,
-        state: Optional[CpuState] = None,
-        memory: Optional[Memory] = None,
-        entry: Optional[int] = None,
-        max_instructions: int = 2_000_000,
-        on_limit: str = "raise",
-    ) -> ExecutionResult:
-        """The original isinstance-dispatch loop, kept as the reference
-        twin of :meth:`run` (DESIGN.md decision 5).  Always records the
-        full trace."""
-        if on_limit not in ("raise", "stop"):
-            raise ValueError(f"unknown on_limit policy {on_limit!r}")
-        if state is None:
-            state = CpuState()
-        if memory is None:
-            memory = Memory()
-        pc = self.program.entry if entry is None else entry
-        trace: List[BranchRecord] = []
-        executed = 0
-        halted = False
-
-        while True:
-            if executed >= max_instructions:
-                if on_limit == "stop":
-                    return ExecutionResult(trace=trace,
-                                           instructions=executed,
-                                           state=state, halted=False,
-                                           next_pc=pc)
-                raise ExecutionLimitExceeded(
-                    f"{self.program.name} exceeded {max_instructions} instructions"
-                )
-            instruction = self.program.instruction_at(pc)
-            executed += 1
-            next_pc = pc + instruction.size
-
-            if isinstance(instruction, Halt):
-                self.hooks.instruction_retired(pc)
-                halted = True
-                break
-            pc = self._execute_one(instruction, pc, next_pc, state, memory, trace)
-            if pc is None:  # Ret from the outermost frame
-                halted = True
-                break
-
-        return ExecutionResult(trace=trace, instructions=executed, state=state,
-                               halted=halted)
-
-    def _execute_one(
-        self,
-        instruction,
-        pc: int,
-        next_pc: int,
-        state: CpuState,
-        memory: Memory,
-        trace: List[BranchRecord],
-    ) -> Optional[int]:
-        """Execute one committed instruction; return the next pc."""
-        hooks = self.hooks
-
-        if isinstance(instruction, Nop):
-            pass
-        elif isinstance(instruction, MovImm):
-            state.write(instruction.dst, instruction.imm)
-            state.reg_latency[instruction.dst] = 0
-        elif isinstance(instruction, Mov):
-            state.write(instruction.dst, state.read(instruction.src))
-            state.reg_latency[instruction.dst] = state.latency_of(instruction.src)
-        elif isinstance(instruction, BinaryOp):
-            lhs = state.read(instruction.dst)
-            rhs = (instruction.imm if instruction.imm is not None
-                   else state.read(instruction.src))
-            latency = max(
-                state.latency_of(instruction.dst),
-                state.latency_of(instruction.src),
-            )
-            if instruction.set_flags:
-                state.flags = _compute_flags(lhs, rhs)
-                state.flags_latency = latency
-            if not instruction.cmp_only:
-                state.write(instruction.dst, instruction.apply(lhs, rhs))
-                state.reg_latency[instruction.dst] = latency
-        elif isinstance(instruction, Load):
-            address = (state.read(instruction.base) + instruction.offset) & WORD_MASK
-            latency = hooks.load(address, instruction.width)
-            state.write(instruction.dst, memory.read(address, instruction.width))
-            state.reg_latency[instruction.dst] = latency
-        elif isinstance(instruction, Store):
-            address = (state.read(instruction.base) + instruction.offset) & WORD_MASK
-            memory.write(address, instruction.width, state.read(instruction.src))
-            hooks.store(address, instruction.width)
-        elif isinstance(instruction, PyOp):
-            reads = {reg: state.read(reg) for reg in instruction.reads}
-            if instruction.touches_memory:
-                writes = instruction.fn(reads, memory)
-            else:
-                writes = instruction.fn(reads)
-            for reg in instruction.writes:
-                if reg not in writes:
-                    raise ProgramError(
-                        f"PyOp {instruction.name!r} did not produce {reg!r}"
-                    )
-                state.write(reg, writes[reg])
-                state.reg_latency[reg] = 0
-        elif isinstance(instruction, CondBranch):
-            target = self.program.address_of(instruction.target)
-            taken = state.flags.satisfies(instruction.condition)
-            resolve_latency = state.flags_latency
-            hooks.conditional_branch(pc, target, next_pc, taken, resolve_latency)
-            actual_next = target if taken else next_pc
-            trace.append(BranchRecord(pc, BranchKind.CONDITIONAL, taken,
-                                      target, next_pc, actual_next))
-            hooks.instruction_retired(pc)
-            return actual_next
-        elif isinstance(instruction, Jump):
-            target = self.program.address_of(instruction.target)
-            hooks.unconditional_branch(pc, target, BranchKind.JUMP, next_pc)
-            trace.append(BranchRecord(pc, BranchKind.JUMP, True,
-                                      target, next_pc, target))
-            hooks.instruction_retired(pc)
-            return target
-        elif isinstance(instruction, JumpIndirect):
-            target = state.read(instruction.reg)
-            hooks.unconditional_branch(pc, target, BranchKind.INDIRECT, next_pc)
-            trace.append(BranchRecord(pc, BranchKind.INDIRECT, True,
-                                      target, next_pc, target))
-            hooks.instruction_retired(pc)
-            return target
-        elif isinstance(instruction, Call):
-            target = self.program.address_of(instruction.target)
-            state.call_stack.append(next_pc)
-            hooks.unconditional_branch(pc, target, BranchKind.CALL, next_pc)
-            trace.append(BranchRecord(pc, BranchKind.CALL, True,
-                                      target, next_pc, target))
-            hooks.instruction_retired(pc)
-            return target
-        elif isinstance(instruction, Ret):
-            if not state.call_stack:
-                hooks.instruction_retired(pc)
-                return None
-            target = state.call_stack.pop()
-            hooks.unconditional_branch(pc, target, BranchKind.RET, next_pc)
-            trace.append(BranchRecord(pc, BranchKind.RET, True,
-                                      target, next_pc, target))
-            hooks.instruction_retired(pc)
-            return target
-        else:
-            raise ProgramError(f"cannot execute {instruction!r} at {pc:#x}")
-
-        hooks.instruction_retired(pc)
-        return next_pc
-
-    # ------------------------------------------------------------------
     # transient (wrong-path) execution
     # ------------------------------------------------------------------
 
@@ -435,93 +261,6 @@ class Interpreter:
             executed += 1
             pc = handler(transient_state, transient_memory, hooks)
             if pc is None:  # halt / empty-stack ret / uninterpretable
-                break
-
-        return executed
-
-    def run_transient_reference(
-        self,
-        start_pc: int,
-        state: CpuState,
-        memory: Memory,
-        budget: int,
-    ) -> int:
-        """The original wrong-path dispatch loop, kept as the reference
-        twin of :meth:`run_transient` (DESIGN.md decision 5)."""
-        transient_state = state.copy()
-        transient_memory = TransientMemory(memory)
-        pc = start_pc
-        executed = 0
-
-        while executed < budget:
-            if not self.program.has_instruction_at(pc):
-                break
-            instruction = self.program.instruction_at(pc)
-            executed += 1
-            next_pc = pc + instruction.size
-
-            if isinstance(instruction, Halt):
-                break
-            if isinstance(instruction, Nop):
-                pc = next_pc
-            elif isinstance(instruction, MovImm):
-                transient_state.write(instruction.dst, instruction.imm)
-                pc = next_pc
-            elif isinstance(instruction, Mov):
-                transient_state.write(instruction.dst,
-                                      transient_state.read(instruction.src))
-                pc = next_pc
-            elif isinstance(instruction, BinaryOp):
-                lhs = transient_state.read(instruction.dst)
-                rhs = (instruction.imm if instruction.imm is not None
-                       else transient_state.read(instruction.src))
-                if instruction.set_flags:
-                    transient_state.flags = _compute_flags(lhs, rhs)
-                if not instruction.cmp_only:
-                    transient_state.write(instruction.dst,
-                                          instruction.apply(lhs, rhs))
-                pc = next_pc
-            elif isinstance(instruction, Load):
-                address = (transient_state.read(instruction.base)
-                           + instruction.offset) & WORD_MASK
-                self.hooks.transient_load(address, instruction.width)
-                transient_state.write(
-                    instruction.dst,
-                    transient_memory.read(address, instruction.width),
-                )
-                pc = next_pc
-            elif isinstance(instruction, Store):
-                address = (transient_state.read(instruction.base)
-                           + instruction.offset) & WORD_MASK
-                transient_memory.write(address, instruction.width,
-                                       transient_state.read(instruction.src))
-                pc = next_pc
-            elif isinstance(instruction, PyOp):
-                reads = {reg: transient_state.read(reg)
-                         for reg in instruction.reads}
-                if instruction.touches_memory:
-                    writes = instruction.fn(reads, transient_memory)
-                else:
-                    writes = instruction.fn(reads)
-                for reg in instruction.writes:
-                    transient_state.write(reg, writes[reg])
-                pc = next_pc
-            elif isinstance(instruction, CondBranch):
-                target = self.program.address_of(instruction.target)
-                taken = transient_state.flags.satisfies(instruction.condition)
-                pc = target if taken else next_pc
-            elif isinstance(instruction, Jump):
-                pc = self.program.address_of(instruction.target)
-            elif isinstance(instruction, JumpIndirect):
-                pc = transient_state.read(instruction.reg)
-            elif isinstance(instruction, Call):
-                transient_state.call_stack.append(next_pc)
-                pc = self.program.address_of(instruction.target)
-            elif isinstance(instruction, Ret):
-                if not transient_state.call_stack:
-                    break
-                pc = transient_state.call_stack.pop()
-            else:
                 break
 
         return executed

@@ -1,12 +1,12 @@
 """Predecoded threaded-code compilation for the reproduction ISA.
 
-The reference interpreter (`Interpreter.run_reference`) walks an
-``isinstance`` chain for every dynamic instruction and re-resolves each
-branch label through ``Program.address_of``.  Every end-to-end experiment
-(the Fig 6 AES attack, the Fig 7 libjpeg recovery, the Section 10
-mitigation sweeps) funnels millions of dynamic instructions through that
-loop, so this module compiles each *static* instruction once into a bound
-handler closure:
+The reference interpreter (`repro.fuzz.twins.ReferenceInterpreter`)
+walks an ``isinstance`` chain for every dynamic instruction and
+re-resolves each branch label through ``Program.address_of``.  Every
+end-to-end experiment (the Fig 6 AES attack, the Fig 7 libjpeg
+recovery, the Section 10 mitigation sweeps) funnels millions of dynamic
+instructions through that loop, so this module compiles each *static*
+instruction once into a bound handler closure:
 
 * opcode dispatch disappears -- each address maps straight to a handler;
 * label targets are resolved to absolute addresses at compile time;
@@ -24,8 +24,9 @@ next_pc | None`` (``None`` terminates the run); transient handlers take
 ``(state, memory, hooks)`` where ``memory`` is the store-buffer overlay.
 
 Per DESIGN.md decision 5 the dispatch-loop twins survive as
-``Interpreter.run_reference`` / ``run_transient_reference`` and property
-tests (tests/test_interpreter_equivalence.py) pin the compiled handlers
+:class:`repro.fuzz.twins.ReferenceInterpreter` (outside the production
+call graph) and property tests (tests/test_interpreter_equivalence.py)
+pin the compiled handlers
 bit-identical to them -- registers, flags, memory, trace, perf-counter
 deltas and transient-executed counts.
 """

@@ -96,10 +96,6 @@ class BitReader:
             value = (value << 1) | self.read_bit()
         return value
 
-    @property
-    def bits_consumed(self) -> int:
-        return self._position
-
 
 def build_canonical_codes(bits: List[int],
                           values: List[int]) -> Dict[int, Tuple[int, int]]:

@@ -77,20 +77,11 @@ class ImageRecoveryAttack:
 
     def __init__(self, machine: Machine, codec: Optional[JpegCodec] = None,
                  extended_rounds: int = 6, idct_variant: str = "islow",
-                 reset_probes: bool = False, reuse: Optional[str] = None,
                  store=None):
         self.machine = machine
         self.codec = codec if codec is not None else JpegCodec()
         self.victim = IdctVictim(variant=idct_variant)
         self.extended_rounds = extended_rounds
-        #: Forwarded to :class:`ExtendedPhrReader`: restore a machine
-        #: checkpoint before every candidate probe, making the extended
-        #: read's measurements order-independent.
-        self.reset_probes = reset_probes
-        #: Forwarded to :class:`ExtendedPhrReader`: the replay-engine
-        #: reuse policy ('checkpoint', 'none', or 'inline'; None picks
-        #: the reader's default for ``reset_between_probes``).
-        self.reuse = reuse
         #: Optional shared snapshot store (the service's ``SnapshotStore``
         #: or any object with its ``get``/``put``).
         #: The attack's expensive prefix is the victim itself: a full
@@ -181,9 +172,7 @@ class ImageRecoveryAttack:
             TakenBranch(r.pc, r.target, r.kind is BranchKind.CONDITIONAL)
             for r in trace if r.taken
         ]
-        reader = ExtendedPhrReader(self.machine, rounds=self.extended_rounds,
-                                   reset_between_probes=self.reset_probes,
-                                   reuse=self.reuse)
+        reader = ExtendedPhrReader(self.machine, rounds=self.extended_rounds)
         history = reader.read(taken)
         if not history.complete:
             raise RuntimeError("extended read failed to recover the history")

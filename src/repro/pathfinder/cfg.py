@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cpu.footprint import branch_footprint
 from repro.isa.instructions import (
@@ -272,11 +272,6 @@ class ControlFlowGraph:
             for edge in self.edges_out.get(start, []):
                 lines.append(f"    -{edge.kind.value}-> {edge.destination:#x}")
         return "\n".join(lines)
-
-
-def summarize_edge(edge: Edge) -> Tuple[str, int, int]:
-    """Compact (kind, source, destination) tuple for logging/tests."""
-    return (edge.kind.value, edge.source, edge.destination)
 
 
 def cached_cfg(program: Program, entry: Optional[int] = None

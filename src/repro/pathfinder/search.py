@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cpu.phr import PathHistoryRegister
 from repro.pathfinder.cfg import ControlFlowGraph, Edge, EdgeKind
@@ -84,15 +84,6 @@ class PathSearch:
     mode: str = "exact"
     max_states: int = 2_000_000
     max_paths: int = 16
-    #: Dead-state transposition table.  A residual state is fully
-    #: described by ``(block, residual value, matched depth, call
-    #: stack)``; once a subtree rooted at such a state has been fully
-    #: explored without yielding a verified path, every later arrival at
-    #: the same state is pruned.  Window-mode searches over loopy CFGs
-    #: otherwise re-explore identical residual states exponentially
-    #: often (equal-footprint diamonds all fold to one value).  ``False``
-    #: keeps the naive exhaustive walk for benchmark comparison.
-    memoize: bool = True
     #: Explored states in the last run (diagnostics).
     explored: int = field(default=0, init=False)
     #: States skipped via the dead-state memo in the last run.
@@ -108,6 +99,21 @@ class PathSearch:
             raise ValueError(f"unknown search mode {self.mode!r}")
 
     # ------------------------------------------------------------------
+
+    def _dead_states(self) -> Set[tuple]:
+        """A fresh dead-state transposition table for one search.
+
+        A residual state is fully described by ``(block, residual value,
+        matched depth, call stack)``; once a subtree rooted at such a
+        state has been fully explored without yielding a verified path,
+        every later arrival at the same state is pruned.  Window-mode
+        searches over loopy CFGs otherwise re-explore identical residual
+        states exponentially often (equal-footprint diamonds all fold to
+        one value).  The naive exhaustive twin
+        (:class:`repro.fuzz.twins.ExhaustivePathSearch`) hands out a
+        table that remembers nothing.
+        """
+        return set()
 
     def _ensure_index(self) -> None:
         """(Re)build the per-CFG edge indexes if the CFG changed.
@@ -169,8 +175,7 @@ class PathSearch:
         self.explored = 0
         self.pruned = 0
         entry = self.cfg.entry
-        #: Per-search transposition table of dead residual states.
-        dead = set() if self.memoize else None
+        dead = self._dead_states()
         #: Once a limit trips, frames unwind without dead-marking: a
         #: partially explored subtree may still hide a verified path, so
         #: memoizing it as dead would be unsound on a rerun... and within
@@ -196,7 +201,7 @@ class PathSearch:
                 # mode: matched == width; exact mode: at the entry).
                 return False
             key = (state.point, state.value, state.matched, state.call_stack)
-            if dead is not None and key in dead:
+            if key in dead:
                 self.pruned += 1
                 return False
             # Reversed, so iteration order matches the old LIFO pop order.
@@ -224,7 +229,7 @@ class PathSearch:
                     successor = next(frame[2])
                 except StopIteration:
                     frames.pop()
-                    if dead is not None and not frame[3]:
+                    if not frame[3]:
                         dead.add(frame[1])
                     if frames and frame[3]:
                         frames[-1][3] = True

@@ -41,23 +41,6 @@ from repro.primitives.errors import HistoryLengthError
 from repro.replay import ReplayEngine
 from repro.utils.bits import mask
 
-#: Accepted prefix-reuse policies for the extended reader.
-#:
-#: * ``inline`` -- probes accumulate machine state (the pre-replay
-#:   default when ``reset_between_probes`` is off);
-#: * ``checkpoint`` -- every candidate probe is evaluated from the
-#:   baseline checkpoint through :class:`~repro.replay.ReplayEngine`
-#:   (order-independent probes), and each round refreshes only the
-#:   probed PHT entry -- the amortized shortcut;
-#: * ``none`` -- the naive twin: probes still start from the baseline
-#:   state, but every round re-commits the victim's *entire* taken
-#:   branch sequence (each conditional at its true pre-branch PHR),
-#:   i.e. the full Figure 5 victim re-invocation that ``checkpoint``
-#:   amortizes away.  Only the probed entry differs between candidate
-#:   measurements, so the recovered doublets are pinned equal.
-REUSE_MODES = ("inline", "checkpoint", "none")
-
-
 @dataclass(frozen=True)
 class TakenBranch:
     """One taken branch of the victim's dynamic history, oldest first."""
@@ -90,7 +73,18 @@ class ExtendedReadResult:
 
 
 class ExtendedPhrReader:
-    """Implements ``Extended_Read_PHR`` against a shared machine."""
+    """Implements ``Extended_Read_PHR`` against a shared machine.
+
+    ``reset_between_probes`` chooses how candidate probes see the
+    machine.  ``False`` (the default) probes inline: state accumulates
+    across probes.  ``True`` evaluates every probe from one
+    :class:`~repro.replay.ReplayEngine` root taken at the first probe,
+    so probes are order-independent, and each round refreshes only the
+    probed PHT entry -- the amortized shortcut.  The naive twin
+    (:class:`repro.fuzz.twins.NaiveExtendedPhrReader`) re-commits the
+    victim's *entire* conditional history every round instead, i.e. the
+    full Figure 5 victim re-invocation.
+    """
 
     def __init__(
         self,
@@ -103,13 +97,7 @@ class ExtendedPhrReader:
         victim_context=None,
         attacker_context=None,
         reset_between_probes: bool = False,
-        reuse: Optional[str] = None,
     ):
-        if reuse is None:
-            reuse = "checkpoint" if reset_between_probes else "inline"
-        if reuse not in REUSE_MODES:
-            raise ValueError(
-                f"unknown reuse mode {reuse!r}; expected one of {REUSE_MODES}")
         self.machine = machine
         self.thread = thread
         self.rounds = rounds
@@ -117,23 +105,20 @@ class ExtendedPhrReader:
         self.max_gap = max_gap
         self.pc_alias_offset = pc_alias_offset
         self.probes = 0
-        self.reuse = reuse
-        #: Lazily constructed at the first probe, so its root checkpoint
+        #: Lazily constructed at the first probe when
+        #: ``reset_between_probes`` is set, so its root checkpoint
         #: captures the machine right after the victim ran (the state
         #: every candidate measurement must start from).
         self.replay: Optional[ReplayEngine] = None
-        #: (pc, pre-branch PHR) of every victim conditional, set by
-        #: :meth:`read`; the ``reuse='none'`` twin replays it as the full
-        #: per-round victim refresh.
-        self._refresh_sequence = None
-        #: When True, every candidate probe restores the machine to a
-        #: checkpoint taken at the first probe
-        #: (:meth:`repro.cpu.machine.Machine.snapshot`).  Long reads churn
-        #: the PHTs across tens of thousands of probes; the reset pins
-        #: each measurement to the identical machine state, making probes
-        #: order-independent (the trial-harness determinism contract).
+        #: ``(branches, pre-branch PHR values)`` of the history
+        #: :meth:`read` is recovering.
+        self._history = None
+        #: When True, every candidate probe restores the machine to the
+        #: replay engine's root.  Long reads churn the PHTs across tens
+        #: of thousands of probes; the reset pins each measurement to the
+        #: identical machine state, making probes order-independent (the
+        #: trial-harness determinism contract).
         self.reset_between_probes = reset_between_probes
-        self._probe_baseline = None
         #: Optional zero-argument hooks invoked before victim refreshes /
         #: attacker probes -- they model the domain switch surrounding
         #: each victim invocation (used by the secure-predictor
@@ -184,26 +169,18 @@ class ExtendedPhrReader:
            primed entry never sees a taken update and the probe stays
            silent.
         """
-        if self.reuse != "inline":
-            if self.replay is None:
-                self.replay = ReplayEngine(
-                    self.machine,
-                    reuse="none" if self.reuse == "none" else "checkpoint")
-            # Every candidate measurement starts from the engine root (the
-            # machine as it stood at the first probe), so probes are
-            # order-independent.
-            return self.replay.evaluate(
-                ReplayEngine.ROOT,
-                lambda: self._probe_once(victim_pc, victim_pre_phr,
-                                         candidate_phr))
-        if self.reset_between_probes:
-            # Legacy combination (explicit reuse='inline' with resets):
-            # the pre-engine ad-hoc snapshot path.
-            if self._probe_baseline is None:
-                self._probe_baseline = self.machine.snapshot()
-            else:
-                self.machine.restore(self._probe_baseline)
-        return self._probe_once(victim_pc, victim_pre_phr, candidate_phr)
+        if not self.reset_between_probes:
+            return self._probe_once(victim_pc, victim_pre_phr,
+                                    candidate_phr)
+        if self.replay is None:
+            self.replay = ReplayEngine(self.machine)
+        # Every candidate measurement starts from the engine root (the
+        # machine as it stood at the first probe), so probes are
+        # order-independent.
+        return self.replay.evaluate(
+            ReplayEngine.ROOT,
+            lambda: self._probe_once(victim_pc, victim_pre_phr,
+                                     candidate_phr))
 
     def _probe_once(self, victim_pc: int, victim_pre_phr: int,
                     candidate_phr: int) -> int:
@@ -229,30 +206,26 @@ class ExtendedPhrReader:
                                         thread=self.thread)
 
         mispredictions = 0
-        full_refresh = (self.reuse == "none"
-                        and self._refresh_sequence is not None)
         for _ in range(self.rounds):
             self.probes += 1
             # Two victim calls per probe: the asymmetry lets a shared
             # counter escape the primed saturation.
             self.victim_context()
-            if full_refresh:
-                # Naive twin: each victim call re-trains *every*
-                # conditional at its true pre-branch PHR.  Only the
-                # probed entry feeds the aliased probe, which is what
-                # the 'checkpoint' shortcut exploits.
-                for _call in range(2):
-                    for pc, pre_phr in self._refresh_sequence:
-                        machine.cbp.observe(pc, pre_phr, True)
-            else:
-                machine.cbp.observe(victim_pc, victim_phr, True)
-                machine.cbp.observe(victim_pc, victim_phr, True)
+            self._refresh_victim(victim_pc, victim_phr)
+            self._refresh_victim(victim_pc, victim_phr)
             self.attacker_context()
             phr.set_value(candidate_phr)
             if machine.observe_conditional(attacker_pc, attacker_target,
                                            False, thread=self.thread):
                 mispredictions += 1
         return mispredictions
+
+    def _refresh_victim(self, victim_pc: int,
+                        victim_phr: PathHistoryRegister) -> None:
+        """One victim call's effect on the probe: re-train the probed
+        branch's true PHT entry toward taken.  Only that entry feeds
+        the aliased probe, so no other branch is re-committed."""
+        self.machine.cbp.observe(victim_pc, victim_phr, True)
 
     def _probe_collision(self, victim_pc: int, victim_pre_phr: int,
                          candidate_phr: int) -> bool:
@@ -314,11 +287,7 @@ class ExtendedPhrReader:
                                       probes=self.probes, max_gap=0)
 
         pre_phr_values = self._true_pre_phr_values(branches)
-        if self.reuse == "none":
-            self._refresh_sequence = [
-                (branch.pc, PathHistoryRegister(capacity, pre_phr_values[i]))
-                for i, branch in enumerate(branches) if branch.conditional
-            ]
+        self._history = (branches, pre_phr_values)
         #: Running reconstruction of the PHR *before* branch m, walking m
         #: backward; unknown top doublets are held as zero and counted in
         #: ``pending``.

@@ -76,11 +76,6 @@ class PhrMacros:
         phr.shift(amount)
 
     @staticmethod
-    def clear_transform(phr: PathHistoryRegister) -> None:
-        """``Clear_PHR`` as a state transform."""
-        phr.clear()
-
-    @staticmethod
     def write_transform(phr: PathHistoryRegister, value: int) -> None:
         """``Write_PHR(value)`` as a state transform."""
         phr.set_value(value)

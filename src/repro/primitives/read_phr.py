@@ -32,19 +32,6 @@ from repro.primitives.victim import VictimHandle
 from repro.replay import ReplayEngine
 from repro.utils.rng import DeterministicRng
 
-#: Accepted prefix-reuse policies for the reader.
-#:
-#: * ``checkpoint`` -- run ``Clear_PHR; victim()`` once, checkpoint the
-#:   machine through :class:`~repro.replay.ReplayEngine`, and measure
-#:   every guess as a restored suffix (the fast path, default);
-#: * ``none`` -- the naive twin: re-run the prefix from scratch for
-#:   every guess.  Bit-identical to ``checkpoint`` by construction
-#:   (property-tested); exists so benchmarks can measure the gap;
-#: * ``inline`` -- the pre-replay behaviour: no restores at all, state
-#:   accumulates across guesses and the victim's post-call PHR is cached
-#:   after its first in-loop invocation.
-REUSE_MODES = ("checkpoint", "none", "inline")
-
 #: Default attacker train/test branch locations.  The exact values are
 #: arbitrary; they only need to stay clear of victim code and of the macro
 #: regions, and to differ from each other in their low 16 bits so the two
@@ -75,13 +62,6 @@ class PhrReadResult:
         """The recovered PHR as a raw integer."""
         return PathHistoryRegister.from_doublets(self.doublets).value
 
-    def as_phr(self, capacity: Optional[int] = None) -> PathHistoryRegister:
-        """The recovered PHR as a register object."""
-        return PathHistoryRegister.from_doublets(
-            self.doublets,
-            capacity=capacity if capacity is not None else len(self.doublets),
-        )
-
 
 class PhrReader:
     """Implements ``Read_PHR`` against a shared machine.
@@ -90,7 +70,16 @@ class PhrReader:
     iterations count test-branch mispredictions.  The defaults are tuned
     for the simulator's deterministic predictor; the paper uses far more
     iterations to average out hardware noise.
+
+    The victim prefix (``Clear_PHR``; victim call) runs once and is
+    checkpointed through a :class:`~repro.replay.ReplayEngine`; every
+    guess is measured as a restored suffix.  The naive twin
+    (:class:`repro.fuzz.twins.NaivePhrReader`) re-runs the prefix per
+    guess instead.
     """
+
+    #: The prefix-replay engine class the reader builds.
+    _replay_engine = ReplayEngine
 
     def __init__(
         self,
@@ -102,13 +91,9 @@ class PhrReader:
         rng: Optional[DeterministicRng] = None,
         train_pc: int = TRAIN_PC,
         test_pc: int = TEST_PC,
-        reuse: str = "checkpoint",
         store=None,
         store_scope=None,
     ):
-        if reuse not in REUSE_MODES:
-            raise ValueError(
-                f"unknown reuse mode {reuse!r}; expected one of {REUSE_MODES}")
         self.machine = machine
         self.victim = victim
         self.thread = thread
@@ -121,17 +106,12 @@ class PhrReader:
         self.test_target = test_pc + 0x40
         self._victim_phr_cache: Optional[int] = None
         self.iterations = 0
-        self.reuse = reuse
-        if store is not None and reuse == "inline":
-            raise ValueError("reuse='inline' has no replay engine to "
-                             "attach a snapshot store to")
         if store is not None and store_scope is None:
             store_scope = self._default_store_scope()
-        #: The prefix-replay engine (None under ``reuse='inline'``).  Its
-        #: root checkpoint is the machine state at reader construction.
-        self.replay: Optional[ReplayEngine] = (
-            None if reuse == "inline" else ReplayEngine(
-                machine, reuse=reuse, store=store, store_scope=store_scope))
+        #: The prefix-replay engine.  Its root checkpoint is the machine
+        #: state at reader construction.
+        self.replay = self._replay_engine(machine, store=store,
+                                          store_scope=store_scope)
         self._prefix_key = None
 
     def _default_store_scope(self):
@@ -165,24 +145,6 @@ class PhrReader:
         """PHR capacity of the attached machine."""
         return self.machine.config.phr_capacity
 
-    def _call_victim_after_clear(self) -> None:
-        """``Clear_PHR`` followed by a victim call.
-
-        Because the victim is deterministic and always entered with a
-        zeroed PHR here, its post-call PHR is a constant; after one real
-        invocation we install the cached value directly.  The victim's PHT
-        updates are irrelevant to this primitive (only the final PHR state
-        feeds the test branch), so this is behaviour-preserving -- see
-        ``tests/test_read_phr.py`` for the equivalence check.
-        """
-        phr = self.machine.phr(self.thread)
-        phr.clear()
-        if self._victim_phr_cache is None:
-            self.victim.invoke(thread=self.thread)
-            self._victim_phr_cache = phr.value
-        else:
-            phr.set_value(self._victim_phr_cache)
-
     def _not_taken_value(self, guess: int, known: List[int]) -> int:
         """The ``Write_PHR`` argument ``[X, P_{i-1}, ..., P_0, 0...]``."""
         capacity = self.capacity
@@ -194,9 +156,8 @@ class PhrReader:
     def _profile_victim(self) -> None:
         """The replayed prefix: ``Clear_PHR`` + one real victim run.
 
-        Declared as the engine's prefix builder, so under
-        ``reuse='checkpoint'`` it executes exactly once, and under
-        ``reuse='none'`` it re-executes (victim and all) for every
+        Declared as the engine's prefix builder, so it executes exactly
+        once; the naive twin re-executes it (victim and all) for every
         guess -- the paper's naive per-trial protocol.
         """
         phr = self.machine.phr(self.thread)
@@ -213,8 +174,6 @@ class PhrReader:
     def _measure_guess(self, index: int, guess: int, known: List[int],
                        attempt: int = 0) -> float:
         """Misprediction rate of the test branch for one guess of P_index."""
-        if self.replay is None:
-            return self._measure_loop(index, guess, known, attempt)
         key = self._ensure_prefix()
         return self.replay.evaluate(
             key, lambda: self._measure_loop(index, guess, known, attempt))
@@ -223,12 +182,18 @@ class PhrReader:
                       attempt: int) -> float:
         machine = self.machine
         phr = machine.phr(self.thread)
-        if self.replay is not None and self._victim_phr_cache is None:
+        if self._victim_phr_cache is None:
             # Prefix served from the shared store: the builder never ran
             # here, but the restored state *is* the post-victim state, so
             # the PHR constant the taken path installs is simply the
             # current register value.
             self._victim_phr_cache = phr.value
+        # The victim is deterministic and the taken path always enters it
+        # with a cleared PHR, so its post-call PHR is this constant.  Its
+        # PHT updates are irrelevant to the primitive (only the final PHR
+        # feeds the test branch), so installing the value stands in for
+        # ``Clear_PHR``; victim call.
+        victim_phr = self._victim_phr_cache
         # Every pass of a doublet draws from its own forks: pass 0 uses
         # ids ``index * 4 + guess`` and a retry's ids lie past all of them.
         rng = self.rng.fork((attempt * self.capacity + index) * 4 + guess)
@@ -243,7 +208,7 @@ class PhrReader:
             machine.observe_conditional(self.train_pc, self.train_target,
                                         train_taken, thread=self.thread)
             if train_taken:
-                self._call_victim_after_clear()
+                phr.set_value(victim_phr)
                 phr.shift(shift_amount)
             else:
                 phr.set_value(not_taken_value)

@@ -43,6 +43,9 @@ class PhtProbeResult:
 class PhtReader:
     """Implements ``Read_PHT(PC, PHR)``."""
 
+    #: The prefix-replay engine class :meth:`read_batch` builds.
+    _replay_engine = ReplayEngine
+
     def __init__(
         self,
         machine: Machine,
@@ -119,7 +122,6 @@ class PhtReader:
         self,
         coordinates: Sequence[Tuple[int, int]],
         run_victim,
-        reuse: str = "checkpoint",
         store=None,
         store_scope=None,
     ) -> List[PhtProbeResult]:
@@ -130,11 +132,11 @@ class PhtReader:
         checkpoint; each coordinate's probe replays as a restored suffix,
         so probing coordinate ``i`` cannot disturb coordinate ``j``'s
         entry (probes are taken branches: they *write* the counters they
-        read).  ``reuse='none'`` is the naive twin that re-runs the whole
-        prefix per coordinate; both orders of execution are bit-identical
-        because the prefix is deterministic.  Coordinates must not alias
-        each other (distinct PHT entries), or the batched prime differs
-        from per-coordinate protocols.
+        read).  The naive twin (:class:`repro.fuzz.twins.NaivePhtReader`)
+        re-runs the whole prefix per coordinate; both orders of execution
+        are bit-identical because the prefix is deterministic.
+        Coordinates must not alias each other (distinct PHT entries), or
+        the batched prime differs from per-coordinate protocols.
 
         With a shared snapshot store (the service's ``SnapshotStore`` or
         any object with its ``get``/``put``), the primed+victim prefix
@@ -165,8 +167,8 @@ class PhtReader:
                 tuple(coordinates),
                 store_scope,
             )
-        engine = ReplayEngine(self.machine, reuse=reuse, store=store,
-                              store_scope=store_scope)
+        engine = self._replay_engine(self.machine, store=store,
+                                     store_scope=store_scope)
 
         def prefix() -> None:
             for pc, phr_value in coordinates:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Hashable, Optional
 
 from repro.cpu.machine import Machine
-from repro.cpu.phr import PathHistoryRegister
 from repro.replay import ReplayEngine
 from repro.utils.rng import DeterministicRng
 
@@ -94,11 +93,6 @@ class PhtWriter:
                 phr.set_value(rebias_value)
                 machine.observe_conditional(attacker_pc, attacker_target,
                                             not taken, thread=self.thread)
-
-    def write_for_branch(self, pc: int, phr: PathHistoryRegister,
-                         taken: bool) -> None:
-        """Convenience overload taking a PHR object."""
-        self.write(pc, phr.value, taken)
 
     def write_checkpointed(
         self,

@@ -16,14 +16,13 @@ that state ``key`` is reached by running ``build()`` from state
 construction), so successive reads extend the previous prefix
 incrementally instead of rebuilding from scratch.  Builders must be
 deterministic functions of the machine state they start from -- that is
-exactly the property the fast engine's snapshot-replay fuzz arm pins --
-which makes the two reuse policies interchangeable:
-
-* ``reuse='checkpoint'`` -- cache a snapshot per key; establishing a
-  state is a diff-based ``restore()``.
-* ``reuse='none'`` -- the naive twin: cache nothing and re-run the whole
-  builder chain from the root for every evaluation.  Property tests pin
-  ``checkpoint == none`` bit for bit; benchmarks measure the gap.
+exactly the property the fast engine's snapshot-replay fuzz arm pins.
+The engine caches a snapshot per key, so establishing a state is a
+diff-based ``restore()``.  Determinism makes that interchangeable with
+re-running the whole builder chain from the root for every evaluation:
+the naive twin :class:`repro.fuzz.twins.NaiveReplayEngine` does exactly
+that, property tests pin the two bit for bit, and benchmarks measure the
+gap.
 
 The cache is bounded (a :class:`~repro.utils.lru.LruCache`).  Evicting
 a checkpoint is safe because the builder chain is retained: the state is
@@ -39,21 +38,19 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 from repro.isa.identity import content_key
 from repro.utils.lru import LruCache
 
-REUSE_MODES = ("checkpoint", "none")
-
 #: Sentinel key for the machine state captured at engine construction.
 ROOT: Hashable = ("replay-root",)
 
 
 class ReplayError(ValueError):
-    """Misuse of the replay engine (unknown key, bad reuse mode, ...)."""
+    """Misuse of the replay engine (unknown key, bad capacity, ...)."""
 
 
 @dataclass
 class ReplayStats:
     """Counters for the perf benches and for cache-behaviour tests."""
 
-    prefix_runs: int = 0  #: builder executions (cache misses + 'none' reruns)
+    prefix_runs: int = 0  #: builder executions (cache misses, naive reruns)
     suffix_runs: int = 0  #: evaluate() suffix executions
     checkpoint_hits: int = 0
     checkpoint_misses: int = 0
@@ -116,12 +113,8 @@ class ReplayEngine:
 
     ROOT = ROOT
 
-    def __init__(self, machine, reuse: str = "checkpoint",
-                 capacity: int = 128, store=None,
+    def __init__(self, machine, capacity: int = 128, store=None,
                  store_scope: Optional[Hashable] = None):
-        if reuse not in REUSE_MODES:
-            raise ReplayError(
-                f"unknown reuse mode {reuse!r}; expected one of {REUSE_MODES}")
         if capacity < 1:
             raise ReplayError(f"capacity must be >= 1, got {capacity}")
         if store is not None and store_scope is None:
@@ -130,7 +123,6 @@ class ReplayEngine:
                 "(profile, prefix program) identity its checkpoints "
                 "belong to -- engine keys alone are not content addresses")
         self.machine = machine
-        self.reuse = reuse
         self.capacity = capacity
         #: Optional shared snapshot store: the service's
         #: ``SnapshotStore`` or any object with its ``get``/``put``,
@@ -143,8 +135,8 @@ class ReplayEngine:
         self.store_scope = store_scope
         self.stats = ReplayStats()
         self._nodes: Dict[Hashable, _Node] = {}
-        #: key -> MachineSnapshot (only under reuse='checkpoint'); its
-        #: capacity is ``capacity`` minus the pinned snapshots.
+        #: key -> MachineSnapshot of built checkpoints; its capacity is
+        #: ``capacity`` minus the pinned snapshots.
         self._snapshots = LruCache(capacity)
         #: key -> MachineSnapshot for captured states (never evicted --
         #: there is no builder chain to rebuild them from).  Pinned
@@ -187,9 +179,9 @@ class ReplayEngine:
         from ``parent`` would not reproduce the live state.  ``capture``
         snapshots the machine exactly as it stands instead.  Captured
         checkpoints are pinned -- never evicted, since there is no
-        builder to rebuild them from -- and work under either reuse
-        policy.  ``parent`` is recorded purely for :meth:`invalidate`'s
-        descendant tracking.  The machine is left untouched.
+        builder to rebuild them from.  ``parent`` is recorded purely for
+        :meth:`invalidate`'s descendant tracking.  The machine is left
+        untouched.
 
         Pinned snapshots occupy cache slots: once ``capacity`` of them
         exist, further captures raise :class:`ReplayError` (an evicted
@@ -213,11 +205,10 @@ class ReplayEngine:
     def evaluate(self, key: Hashable, suffix: Callable[[], Any]) -> Any:
         """Establish state ``key`` and run ``suffix()`` on the machine.
 
-        Under ``reuse='checkpoint'`` establishing is (at worst) one
-        diff-based restore; under ``reuse='none'`` it re-runs the whole
-        builder chain from the root.  Either way the suffix starts from
-        a bit-identical machine state, which is the equivalence the
-        property tests pin.
+        Establishing is (at worst) one diff-based restore; the naive
+        twin re-runs the whole builder chain from the root instead.
+        Either way the suffix starts from a bit-identical machine state,
+        which is the equivalence the property tests pin.
         """
         self._establish(key)
         self.stats.suffix_runs += 1
@@ -310,26 +301,33 @@ class ReplayEngine:
         if self._nodes[key].build is None:
             raise ReplayError(
                 f"captured checkpoint {key!r} has no snapshot left")
-        if self.reuse == "checkpoint":
-            snapshot = self._snapshots.get(key)
-            if snapshot is not None:
-                self.stats.checkpoint_hits += 1
-                self.machine.restore(snapshot)
-                self.stats.restores += 1
-                return
-            self.stats.checkpoint_misses += 1
-            snapshot = self._store_fetch(key)
-            if snapshot is not None:
-                self.stats.evictions += self._snapshots.put(key, snapshot)
-                self.machine.restore(snapshot)
-                self.stats.restores += 1
-                return
+        self._establish_built(key)
+
+    def _establish_built(self, key: Hashable) -> None:
+        """Bring the machine to built checkpoint ``key``: restore its
+        cached or shared-store snapshot, else rebuild and cache it."""
+        snapshot = self._snapshots.get(key)
+        if snapshot is not None:
+            self.stats.checkpoint_hits += 1
+            self.machine.restore(snapshot)
+            self.stats.restores += 1
+            return
+        self.stats.checkpoint_misses += 1
+        snapshot = self._store_fetch(key)
+        if snapshot is not None:
+            self.stats.evictions += self._snapshots.put(key, snapshot)
+            self.machine.restore(snapshot)
+            self.stats.restores += 1
+            return
+        self._rebuild(key)
+        self._store(key)
+
+    def _rebuild(self, key: Hashable) -> None:
+        """Run ``key``'s builder from its (re-established) parent."""
         node = self._nodes[key]
         self._establish(node.parent)
         node.build()
         self.stats.prefix_runs += 1
-        if self.reuse == "checkpoint":
-            self._store(key)
 
     def _content_key(self, key: Hashable) -> Optional[str]:
         """The shared-store content address of built checkpoint ``key``.

@@ -239,7 +239,6 @@ def _handle_read_phr(ctx, params: Dict[str, Any]) -> Dict[str, Any]:
         _victim_handle(machine, spec),
         warmup=params.get("warmup", 16),
         measure=params.get("measure", 16),
-        reuse=params.get("reuse", "checkpoint"),
         store=ctx.store,
     )
     result = reader.read(count=params.get("count"))
@@ -247,7 +246,7 @@ def _handle_read_phr(ctx, params: Dict[str, Any]) -> Dict[str, Any]:
         "doublets": result.doublets,
         "confidence": result.confidence,
         "iterations": result.iterations,
-        "replay": reader.replay.stats.as_dict() if reader.replay else None,
+        "replay": reader.replay.stats.as_dict(),
     }
 
 
@@ -263,11 +262,7 @@ def _handle_extended_read(ctx, params: Dict[str, Any]) -> Dict[str, Any]:
     recorded = handle.profile()
     taken = [TakenBranch(b.pc, b.target, b.conditional)
              for b in recorded if b.taken]
-    reader = ExtendedPhrReader(
-        machine,
-        rounds=params.get("rounds", 4),
-        reuse=params.get("reuse", None),
-    )
+    reader = ExtendedPhrReader(machine, rounds=params.get("rounds", 4))
     result = reader.read(taken)
     return {
         "doublets": result.doublets,
@@ -320,7 +315,6 @@ def _handle_read_pht(ctx, params: Dict[str, Any]) -> Dict[str, Any]:
 
     results = reader.read_batch(
         coordinates, run_victim,
-        reuse=params.get("reuse", "checkpoint"),
         store=ctx.store,
         store_scope=("victim-program", spec.digest()),
     )
@@ -418,7 +412,7 @@ def _handle_aes_victim_signatures(ctx,
     if not supports_config(machine.config):
         raise ServiceError(
             "machine profile is unsupported by the batch engine")
-    victim = AesVictim(key, data_path=params.get("data_path", "fast"))
+    victim = AesVictim(key)
     entry = victim.program.address_of("aes_encrypt")
     pristine = machine.snapshot()
     cache = getattr(ctx, "trace_cache", None)

@@ -10,22 +10,24 @@ from repro.aes.core import (
     SHIFT_ROWS_MAP,
     add_round_key,
     aesenc,
-    aesenc_reference,
     aesenclast,
-    aesenclast_reference,
     decrypt_block,
     encrypt_block,
     inv_mix_columns,
-    inv_mix_columns_reference,
     inv_shift_rows,
     inv_sub_bytes,
     mix_columns,
-    mix_columns_reference,
     reduced_round_ciphertext,
     shift_rows,
     sub_bytes,
 )
 from repro.aes.keyschedule import expand_key
+from repro.fuzz.twins import (
+    aesenc_reference,
+    aesenclast_reference,
+    inv_mix_columns_reference,
+    mix_columns_reference,
+)
 
 block_strategy = st.binary(min_size=16, max_size=16)
 key_strategy = st.binary(min_size=16, max_size=16)
@@ -142,7 +144,8 @@ class TestAesniModel:
 
 class TestFastReferenceTwins:
     """The table-based fast round primitives vs. their definitional
-    ``*_reference`` twins (DESIGN.md decision 5): bit-identical over
+    ``*_reference`` twins in :mod:`repro.fuzz.twins` (DESIGN.md
+    decision 5): bit-identical over
     random blocks and keys."""
 
     @given(block_strategy, key_strategy)

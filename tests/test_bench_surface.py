@@ -4,7 +4,8 @@
 ``perfbench/workloads.py`` reads a handful of attributes off the public
 API.  A rename of any of them breaks the benchmark without breaking any
 other test, so this file pins them: it installs the tracer (which looks
-every patched name up) and reads each attribute the workloads read.
+every patched name up), reads each attribute the workloads read, and
+binds or calls each constructor and method the way the workloads do.
 """
 
 from __future__ import annotations
@@ -14,9 +15,16 @@ import inspect
 from pathlib import Path
 
 from repro.aes.attack import AesSpectreAttack
+from repro.aes.core import encrypt_block
+from repro.aes.trials import AesAttackSpec, build_attack
+from repro.aes.victim import AesVictim
 from repro.cpu import Machine, RAPTOR_LAKE
 from repro.harness import run_trials
+from repro.isa.memory import Memory
+from repro.jpeg import ImageRecoveryAttack, JpegCodec
+from repro.primitives import PhrMacros, PhrReader, PhtReader
 from repro.replay import ReplayEngine
+from repro.utils.rng import DeterministicRng
 from repro.service import (AttackService, Job, MachineSpec, SnapshotStore,
                            TraceCache)
 
@@ -87,3 +95,32 @@ def test_service_store_and_trace_cache_surface(tmp_path):
     assert 0.0 <= trace_cache.stats.hit_rate <= 1.0
     assert trace_cache.stats.divergences == 0
 
+
+
+def test_workload_call_shapes():
+    """The constructor and method calls ``perfbench/workloads.py`` makes,
+    in its own argument shapes."""
+    machine = Machine(RAPTOR_LAKE)
+    inspect.signature(PhrReader).bind(
+        machine, PhrMacros(machine), rng=DeterministicRng(1))
+    inspect.signature(PhtReader(machine).read_batch).bind(
+        [(0x40_1000, 1)], lambda: None)
+    inspect.signature(ImageRecoveryAttack).bind(machine, JpegCodec(quality=75))
+    attack = build_attack(AesAttackSpec(key=bytes(16)))
+    assert isinstance(attack, AesSpectreAttack)
+
+
+def test_signature_reference_run():
+    """``ServiceMix._signatures``: a scalar ``Machine.run`` of the AES
+    victim, read back and checked against the AES core."""
+    key, plaintext = bytes(range(16)), bytes(range(16, 32))
+    victim = AesVictim(key)
+    entry = victim.program.address_of("aes_encrypt")
+    memory = Memory()
+    victim.provision(memory, plaintext)
+    result = Machine(RAPTOR_LAKE).run(victim.program, memory=memory,
+                                      entry=entry, speculate=False,
+                                      trace="none")
+    assert victim.read_ciphertext(memory) == encrypt_block(
+        plaintext, victim.round_keys)
+    assert result.perf.conditional_branches == victim.rounds - 1

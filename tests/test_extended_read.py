@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu import Machine, RAPTOR_LAKE, SKYLAKE
 from repro.cpu.phr import PathHistoryRegister
+from repro.fuzz.twins import NaiveExtendedPhrReader
 from repro.primitives import ExtendedPhrReader, TakenBranch
 from repro.utils.rng import DeterministicRng
 
@@ -144,20 +145,16 @@ class TestProbeMechanics:
 
 
 class TestReusePolicies:
-    def test_unknown_reuse_rejected(self):
-        with pytest.raises(ValueError):
-            ExtendedPhrReader(Machine(RAPTOR_LAKE), reuse="magic")
-
     def test_checkpoint_matches_naive_twin_bit_for_bit(self):
         """Order-independent probing through the replay engine: restore
-        per probe ('checkpoint') must equal full re-establishment per
-        probe ('none') doublet for doublet."""
+        per probe must equal the naive twin's full victim refresh per
+        round doublet for doublet."""
         branches = random_branches(206, seed=7)
         results = {}
-        for reuse in ("checkpoint", "none"):
-            reader = ExtendedPhrReader(Machine(RAPTOR_LAKE),
-                                       reset_between_probes=True,
-                                       reuse=reuse)
+        for reuse, reader_class in (("checkpoint", ExtendedPhrReader),
+                                    ("none", NaiveExtendedPhrReader)):
+            reader = reader_class(Machine(RAPTOR_LAKE),
+                                  reset_between_probes=True)
             results[reuse] = reader.read(branches)
         assert results["checkpoint"].complete
         assert results["none"].complete

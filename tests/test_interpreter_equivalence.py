@@ -2,8 +2,9 @@
 
 The predecoded fast paths -- ``Interpreter.run`` / ``run_transient`` and
 the table-based AES victim data path -- each keep their definitional
-twin (``run_reference`` / ``run_transient_reference`` / the
-``data_path='reference'`` victim).  The property tests here pin each
+twin in :mod:`repro.fuzz.twins` (``ReferenceInterpreter`` behind
+``ReferenceMachine``, and ``ReferenceAesVictim``).  The property tests
+here pin each
 pair bit-identical over randomly generated programs, comparing the full
 architectural outcome: registers, flags, call stack, load latencies,
 memory, branch trace, perf-counter deltas (including transient-executed
@@ -15,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aes.victim import AesVictim
 from repro.cpu import Machine, RAPTOR_LAKE
+from repro.fuzz.diff import ENGINES
+from repro.fuzz.twins import ReferenceAesVictim, ReferenceInterpreter
 from repro.isa import ProgramBuilder
 from repro.isa.instructions import (
     CONDITION_EVALUATORS,
@@ -116,14 +119,13 @@ def build_random_program(ops, base=0x470000):
 
 def run_on_machine(program, engine, trace="full", initial=b"",
                    max_instructions=200_000):
-    machine = Machine(RAPTOR_LAKE)
+    machine = ENGINES[engine](RAPTOR_LAKE)
     memory = Memory()
     if initial:
         memory.write_bytes(DATA_BASE, initial)
     state = CpuState()
     result = machine.run(program, state=state, memory=memory,
-                         max_instructions=max_instructions,
-                         trace=trace, engine=engine)
+                         max_instructions=max_instructions, trace=trace)
     return result, state, memory
 
 
@@ -160,11 +162,10 @@ class TestPredecodedEngineEquivalence:
         victim = AesVictim(bytes(range(16)))
         results = {}
         for engine in ("fast", "reference"):
-            machine = Machine(RAPTOR_LAKE)
+            machine = ENGINES[engine](RAPTOR_LAKE)
             memory = Memory()
             victim.provision(memory, bytes(range(16, 32)))
-            result = machine.run(victim.program, memory=memory,
-                                 engine=engine)
+            result = machine.run(victim.program, memory=memory)
             results[engine] = (result, result.execution.state, memory)
         assert_machine_runs_identical(results["fast"], results["reference"])
 
@@ -173,8 +174,9 @@ class TestPredecodedEngineEquivalence:
         indistinguishable: same ciphertext, same trace, same counters."""
         key, plaintext = bytes(range(16)), bytes(range(16, 32))
         outcomes = {}
-        for data_path in ("fast", "reference"):
-            victim = AesVictim(key, data_path=data_path)
+        for data_path, victim_class in (("fast", AesVictim),
+                                        ("reference", ReferenceAesVictim)):
+            victim = victim_class(key)
             machine = Machine(RAPTOR_LAKE)
             memory = Memory()
             victim.provision(memory, plaintext)
@@ -321,7 +323,7 @@ class TestVariableSizeCall:
 class TestTransientEdgeCases:
     def _interpreters(self, program):
         return (Interpreter(program).run_transient,
-                Interpreter(program).run_transient_reference)
+                ReferenceInterpreter(program).run_transient)
 
     def test_empty_stack_ret_stops_both_twins(self):
         b = ProgramBuilder("bare_ret", base=0x400000)

@@ -203,8 +203,8 @@ class TestTableDrivenFilter:
 
     def test_forced_ambiguity_refines_with_the_same_queries(self):
         """One delta leaves several survivors: the refinement branch
-        re-queries the original delta plus four more, in the same order
-        as the reference."""
+        queries four more deltas and reuses the one already measured --
+        the reference's queries in its order, minus its re-query."""
         key = DeterministicRng(9).bytes(16)
         base = DeterministicRng(10).bytes(16)
         oracle = direct_oracle(key)
@@ -227,9 +227,9 @@ class TestTableDrivenFilter:
         assert reference_recover_key_byte(old_oracle, base, 0,
                                           base_rrc=base_rrc,
                                           deltas=deltas) == key[0]
-        assert new_queries == old_queries
+        assert new_queries == list(dict.fromkeys(old_queries))
         flipped = [query[0] ^ base[0] for query in new_queries]
-        assert flipped == [0x01, 0x01, 0x02, 0x03, 0x04, 0x05]
+        assert flipped == [0x01, 0x02, 0x03, 0x04, 0x05]
 
     @pytest.mark.parametrize("deltas", [(), (0x00, 0x01), (0x01, 0x100)])
     def test_rejects_deltas_outside_one_byte(self, deltas):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu import Machine, RAPTOR_LAKE
+from repro.fuzz.twins import NaivePhtReader
 from repro.primitives import PhtReader, PhtWriter
 from repro.utils.rng import DeterministicRng
 
@@ -101,3 +102,25 @@ class TestReadPht:
         first = reader.read(VICTIM_PC, phr_value, run_victim=lambda: None)
         second = reader.read(VICTIM_PC, phr_value, run_victim=lambda: None)
         assert first.mispredictions == second.mispredictions
+
+    def test_read_batch_matches_naive_twin(self):
+        """One replayed prime+victim prefix serves every coordinate
+        exactly as re-running the prefix per coordinate does."""
+        rng = DeterministicRng(9)
+        coordinates = [(VICTIM_PC + 0x40 * i, rng.value_bits(388))
+                       for i in range(3)]
+        results = {}
+        for name, reader_class in (("replay", PhtReader),
+                                   ("naive", NaivePhtReader)):
+            machine = Machine(RAPTOR_LAKE)
+
+            def run_victim(machine=machine):
+                for pc, value in coordinates[:2]:
+                    machine.phr(0).set_value(value)
+                    machine.observe_conditional(pc, pc + 0x40, True)
+
+            results[name] = [(r.mispredictions, r.inferred_counter)
+                             for r in reader_class(machine).read_batch(
+                                 coordinates, run_victim)]
+        assert results["replay"] == results["naive"]
+        assert [counter for __, counter in results["replay"]] == [1, 1, 0]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu import Machine, RAPTOR_LAKE, SKYLAKE
 from repro.cpu.phr import replay_taken_branches
+from repro.fuzz.twins import NaivePhrReader
 from repro.primitives import PhrMacros, PhrReader, VictimHandle
 from repro.utils.rng import DeterministicRng
 
@@ -77,25 +78,20 @@ class TestReadDoublets:
 
 
 class TestReusePolicies:
-    def test_unknown_reuse_rejected(self):
-        program = build_counted_loop(3)
-        machine = Machine(RAPTOR_LAKE)
-        with pytest.raises(ValueError):
-            PhrReader(machine, VictimHandle(machine, program), reuse="magic")
-
     @pytest.mark.parametrize("seed", [0, 5])
     def test_checkpoint_matches_naive_twin_bit_for_bit(self, seed):
-        """reuse='checkpoint' (restore per guess) and reuse='none'
-        (re-run the prefix per guess) must agree on every doublet AND
+        """The replay-backed reader (restore per guess) and its naive
+        twin (re-run the prefix per guess) must agree on every doublet AND
         every observed misprediction rate -- the equivalence the replay
         engine's determinism contract promises."""
         program, __ = build_branchy_victim(seed=0xC0 + seed,
                                            conditional_count=8)
         results = {}
-        for reuse in ("checkpoint", "none"):
+        for reuse, reader_class in (("checkpoint", PhrReader),
+                                    ("none", NaivePhrReader)):
             machine = Machine(RAPTOR_LAKE)
-            reader = PhrReader(machine, VictimHandle(machine, program),
-                               rng=DeterministicRng(seed), reuse=reuse)
+            reader = reader_class(machine, VictimHandle(machine, program),
+                                  rng=DeterministicRng(seed))
             results[reuse] = reader.read(count=10)
         assert results["checkpoint"].doublets == results["none"].doublets
         assert results["checkpoint"].confidence == results["none"].confidence

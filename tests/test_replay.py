@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cpu import Machine, RAPTOR_LAKE
-from repro.replay import REUSE_MODES, ReplayEngine, ReplayError
+from repro.fuzz.twins import NaiveReplayEngine
+from repro.replay import ReplayEngine, ReplayError
 
 
 def make_builder(machine, pc, target, calls):
@@ -46,7 +47,7 @@ class TestEstablish:
 
     def test_reuse_none_reruns_builder_chain(self):
         machine = Machine(RAPTOR_LAKE)
-        engine = ReplayEngine(machine, reuse="none")
+        engine = NaiveReplayEngine(machine)
         calls = []
         key = engine.checkpoint("p", make_builder(machine, 0x1000, 0x2000,
                                                   calls))
@@ -76,9 +77,10 @@ class TestEstablish:
 
     def test_reuse_policies_bit_identical(self):
         results = {}
-        for reuse in ("checkpoint", "none"):
+        for reuse, engine_class in (("checkpoint", ReplayEngine),
+                                    ("none", NaiveReplayEngine)):
             machine = Machine(RAPTOR_LAKE)
-            engine = ReplayEngine(machine, reuse=reuse)
+            engine = engine_class(machine)
             engine.checkpoint("p", make_builder(machine, 0x1000, 0x2000, []))
             seen = []
             for i in range(4):
@@ -200,13 +202,6 @@ class TestCapture:
 
 
 class TestValidation:
-    def test_reuse_modes_exported(self):
-        assert set(REUSE_MODES) == {"checkpoint", "none"}
-
-    def test_unknown_reuse_mode_rejected(self):
-        with pytest.raises(ReplayError):
-            ReplayEngine(Machine(RAPTOR_LAKE), reuse="magic")
-
     def test_capacity_validated(self):
         with pytest.raises(ReplayError):
             ReplayEngine(Machine(RAPTOR_LAKE), capacity=0)

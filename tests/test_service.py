@@ -406,14 +406,6 @@ class TestStoreIntegration:
         with pytest.raises(ValueError, match="setup hook"):
             PhrReader(machine, victim, store=SnapshotStore())
 
-    def test_phr_reader_rejects_store_under_inline(self):
-        from repro.primitives import PhrReader, VictimHandle
-        machine = Machine(SKYLAKE)
-        victim = VictimHandle(machine, FAST_VICTIM.build())
-        with pytest.raises(ValueError, match="inline"):
-            PhrReader(machine, victim, reuse="inline",
-                      store=SnapshotStore())
-
     def test_read_batch_requires_explicit_scope(self):
         from repro.primitives import PhtReader
         machine = Machine(SKYLAKE)

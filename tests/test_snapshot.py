@@ -227,7 +227,7 @@ class TestMidRunSnapshotReplay:
 
     def _run(self, machine, program, trace="none"):
         result = machine.run(program, state=CpuState(), memory=Memory(),
-                             engine="fast", trace=trace)
+                             trace=trace)
         return ((dict(result.state.regs), result.execution.instructions,
                  result.perf), _fingerprint(machine))
 
@@ -258,7 +258,7 @@ class TestMidRunSnapshotReplay:
         machine.branch_observer = observer
         try:
             machine.run(program, state=CpuState(), memory=Memory(),
-                        engine="fast", trace="none")
+                        trace="none")
         finally:
             machine.branch_observer = None
         assert "snap" in captured, "workload too short to hit commit #10"
