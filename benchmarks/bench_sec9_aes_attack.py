@@ -11,16 +11,25 @@ invocations; scale recorded in EXPERIMENTS.md), then performs one full
 key recovery from iteration-1 exits.  The sweep fans out through the
 trial harness (worker count from ``REPRO_WORKERS``, default serial;
 results are bit-identical either way); the key recovery runs serially.
+A per-layer arm times the attack's Flush+Reload sweep (restore, then
+reload the 4,096-slot probe array) on the production cache against the
+eager twin.
 """
 
 from repro.aes import AesAttackSpec, AesSpectreAttack, build_attack
+from repro.aes.oracle import PROBE_BASE, PROBE_SLOTS, PROBE_STRIDE
+from repro.channels import FlushReloadChannel
 from repro.cpu import Machine, RAPTOR_LAKE
+from repro.cpu.cache import DataCache
+from repro.fuzz.twins import EagerDataCache
 from repro.harness import run_trials
 from repro.utils.rng import DeterministicRng
 
-from conftest import print_table
+from conftest import operation_count, paired_speedup, print_table
 
 TRIALS_PER_ITERATION = 20
+#: Leak reloads per arm and round of the Flush+Reload layer benchmark.
+RELOADS = operation_count(1000, 300)
 
 
 def _success_arm(context, index, rng):
@@ -130,3 +139,62 @@ def test_sec9_equality_oracle_channel(benchmark):
     assert detected == expected
     assert detected  # the seeded constant guarantees at least one event
     benchmark.extra_info["events"] = len(detected)
+
+
+def _post_victim_cache():
+    """The cache snapshot a leak reloads from: the prepared checkpoint
+    restored, then the oracle run with its transient leak."""
+    attack = build_attack(AesAttackSpec(key=DeterministicRng(0xF1).bytes(16)))
+    attack.machine.restore(attack.leak_checkpoint(1))
+    attack.oracle.run_and_read(bytes(16))
+    return attack.machine.cache.snapshot()
+
+
+def _reload_arm(cache_class, post, hot_lists):
+    machine = Machine(RAPTOR_LAKE)
+    geometry = machine.cache
+    machine.cache = cache_class(
+        sets=geometry.sets, ways=geometry.ways,
+        line_size=geometry.line_size, hit_latency=geometry.hit_latency,
+        miss_latency=geometry.miss_latency)
+    channel = FlushReloadChannel(machine, base_address=PROBE_BASE,
+                                 stride=PROBE_STRIDE, entries=PROBE_SLOTS)
+
+    def arm():
+        cache = machine.cache
+        for _ in range(RELOADS):
+            cache.restore(post)
+            hot_lists.append(channel.hot_slots())
+    return arm
+
+
+def test_sec9_flush_reload_layer(benchmark):
+    """Restore + reload per leak: the lazy sweep against the eager one.
+
+    Each leak restores the post-victim cache and reloads all 4,096
+    probe slots; the eager twin fills every slot (and the next restore
+    rewrites every set it dirtied), the production cache only simulates
+    the sets that can hold a probe line.
+    """
+    post = _post_victim_cache()
+    lazy_hot, eager_hot = [], []
+    lazy = _reload_arm(DataCache, post, lazy_hot)
+    eager = _reload_arm(EagerDataCache, post, eager_hot)
+    benchmark.pedantic(lazy, rounds=1, iterations=1)
+    info = benchmark.extra_info
+    speedup = paired_speedup(lazy, eager, info, "reload", rounds=5)
+    info["reloads"] = RELOADS
+    info["reload_speedup"] = round(speedup, 2)
+    print_table(
+        "Section 9 -- Flush+Reload sweep per leak (restore + 4,096 slots)",
+        ["arm", "median s", "IQR s"],
+        [["production (lazy fill)", info["reload_fast_median_s"],
+          info["reload_fast_iqr_s"]],
+         ["eager twin", info["reload_slow_median_s"],
+          info["reload_slow_iqr_s"]],
+         ["reload_speedup", f"{speedup:.1f}x", ""]])
+    # Every sweep of either arm sees the same hot slots: 16
+    # architectural ciphertext bytes plus up to 16 transient ones.
+    assert 16 <= len(eager_hot[0]) <= 32
+    assert all(hot == eager_hot[0] for hot in lazy_hot + eager_hot)
+    assert speedup >= 2

@@ -20,13 +20,17 @@ from repro.jpeg import IdctVictim, JpegCodec
 from repro.jpeg.images import gradient
 from repro.utils.rng import DeterministicRng
 
-from conftest import operation_count
+from conftest import operation_count, paired_speedup
 
 OPERATIONS = operation_count(5_000, 500)
 
-#: End-to-end Machine.run repetitions for the victim benchmarks.
-AES_RUNS = operation_count(300, 30)
-IDCT_RUNS = operation_count(6, 2)
+#: End-to-end Machine.run repetitions for the victim benchmarks.  The
+#: quick counts keep each fast arm above ~50 ms on a 2-vCPU host, so a
+#: scheduler hiccup is a small share of one timing.
+AES_RUNS = operation_count(300, 150)
+IDCT_RUNS = operation_count(20, 15)
+#: Paired rounds behind each end-to-end speedup (the median ratio).
+SPEEDUP_ROUNDS = 5
 
 _AES_KEY = bytes(range(16))
 _AES_PLAINTEXT = bytes(range(16, 32))
@@ -210,13 +214,13 @@ def test_machine_run_aes_throughput(benchmark):
                                      seed_memory, "full")
 
     executed = benchmark.pedantic(fast, rounds=3, iterations=1)
-    fast_time = _best_of(fast)
-    reference_time = _best_of(seed_equivalent)
-    speedup = reference_time / max(fast_time, 1e-9)
-    benchmark.extra_info["runs"] = AES_RUNS
-    benchmark.extra_info["instructions_per_second"] = int(
-        executed / max(fast_time, 1e-9))
-    benchmark.extra_info["speedup_vs_reference"] = round(speedup, 2)
+    info = benchmark.extra_info
+    speedup = paired_speedup(fast, seed_equivalent, info, "run",
+                             SPEEDUP_ROUNDS)
+    info["runs"] = AES_RUNS
+    info["instructions_per_second"] = int(
+        executed / max(info["run_fast_median_s"], 1e-9))
+    info["speedup_vs_reference"] = round(speedup, 2)
     assert executed == seed_equivalent()
     assert speedup >= 3
 
@@ -244,11 +248,11 @@ def test_machine_run_idct_throughput(benchmark):
                                       ref_memory, "full")
 
     executed = benchmark.pedantic(fast, rounds=3, iterations=1)
-    fast_time = _best_of(fast)
-    speedup = _best_of(reference) / max(fast_time, 1e-9)
-    benchmark.extra_info["runs"] = IDCT_RUNS
-    benchmark.extra_info["instructions_per_second"] = int(
-        executed / max(fast_time, 1e-9))
-    benchmark.extra_info["speedup_vs_reference"] = round(speedup, 2)
+    info = benchmark.extra_info
+    speedup = paired_speedup(fast, reference, info, "run", SPEEDUP_ROUNDS)
+    info["runs"] = IDCT_RUNS
+    info["instructions_per_second"] = int(
+        executed / max(info["run_fast_median_s"], 1e-9))
+    info["speedup_vs_reference"] = round(speedup, 2)
     assert executed == reference()
     assert speedup > 1

@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
-from typing import Iterable, List
+from typing import Callable, Iterable, List, Tuple
 
 import pytest
 
@@ -170,6 +171,31 @@ def pytest_runtest_call(item):
         profiler.disable()
         print(f"\n== cProfile: {item.name} (top 25 by cumulative time) ==")
         pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
+
+
+def paired_speedup(fast: Callable[[], object], slow: Callable[[], object],
+                   extra_info: dict, prefix: str, rounds: int = 5) -> float:
+    """The median of ``rounds`` paired ``slow / fast`` time ratios.
+
+    Each round runs both arms back to back, and the order flips every
+    round, so a host slowdown lands on both arms of a pair and their
+    ratio cancels it.  Records each arm's median and interquartile range
+    in host seconds under ``<prefix>_fast_*`` / ``<prefix>_slow_*`` in
+    ``extra_info``.
+    """
+    times: Tuple[List[float], List[float]] = ([], [])
+    for round_number in range(rounds):
+        for arm in ((0, 1) if round_number % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            (fast, slow)[arm]()
+            times[arm].append(time.perf_counter() - start)
+    for name, seconds in zip(("fast", "slow"), times):
+        quartiles = statistics.quantiles(seconds, n=4, method="inclusive")
+        extra_info[f"{prefix}_{name}_median_s"] = round(
+            statistics.median(seconds), 6)
+        extra_info[f"{prefix}_{name}_iqr_s"] = round(
+            quartiles[2] - quartiles[0], 6)
+    return statistics.median(s / max(f, 1e-9) for f, s in zip(*times))
 
 
 def print_table(title: str, headers: List[str],

@@ -8,20 +8,24 @@ bytes apart (one page per slot in the byte-leak variant, Section 9:
 2. let the victim run (its transient gadget loads ``probe[secret]``),
 3. ``reload()`` each slot and classify by latency; hot slots reveal the
    secret index.
+
+A reload costs O(sets the victim touched): :meth:`DataCache.reload`
+returns the slots that hit, and every other slot missed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
+from repro.cpu.cache import group_by_set
 from repro.cpu.machine import Machine
 
 #: ``(line size, sets, base, stride, entries)`` -> the probe slots'
-#: ``(line, set index)`` pairs.  They depend on nothing else, so every
-#: channel of one geometry shares one immutable tuple instead of
-#: resolving (and holding) its own -- an AES attack's 4,096-slot probe
-#: array would otherwise cost each attack ~0.4 MB.
-_RESOLVED_PROBES: Dict[tuple, tuple] = {}
+#: ``(line, set index)`` pairs and those grouped by set.  They depend on
+#: nothing else, so every channel of one geometry shares them instead
+#: of resolving (and holding) its own -- an AES attack's 4,096-slot
+#: probe array would otherwise cost each attack ~0.4 MB.
+_RESOLVED_PROBES: Dict[tuple, Tuple[tuple, dict]] = {}
 
 
 class FlushReloadChannel:
@@ -46,12 +50,13 @@ class FlushReloadChannel:
         cache = machine.cache
         geometry = (cache.line_size, cache.sets, base_address, stride,
                     entries)
-        resolved = _RESOLVED_PROBES.get(geometry)
-        if resolved is None:
-            resolved = _RESOLVED_PROBES[geometry] = tuple(
-                cache.resolve_lines(base_address + index * stride
-                                    for index in range(entries)))
-        self._resolved = resolved
+        probes = _RESOLVED_PROBES.get(geometry)
+        if probes is None:
+            resolved = tuple(cache.resolve_lines(
+                base_address + index * stride for index in range(entries)))
+            probes = _RESOLVED_PROBES[geometry] = (resolved,
+                                                   group_by_set(resolved))
+        self._resolved, self._groups = probes
 
     def slot_address(self, index: int) -> int:
         """Address of probe slot ``index``."""
@@ -70,10 +75,11 @@ class FlushReloadChannel:
         callers must flush again before the next round.
         """
         cache = self.machine.cache
+        times = [cache.miss_latency] * self.entries
         hit = cache.hit_latency
-        miss = cache.miss_latency
-        return [hit if was_hit else miss
-                for was_hit in cache.access_resolved(self._resolved)]
+        for index in cache.reload(self._resolved, self._groups):
+            times[index] = hit
+        return times
 
     def hot_slots(self) -> List[int]:
         """Indices whose reload latency classifies as a cache hit."""
@@ -81,12 +87,12 @@ class FlushReloadChannel:
         threshold = self.machine.config.reload_threshold
         hot_on_hit = cache.hit_latency < threshold
         hot_on_miss = cache.miss_latency < threshold
-        return [
-            index
-            for index, was_hit in enumerate(
-                cache.access_resolved(self._resolved))
-            if (hot_on_hit if was_hit else hot_on_miss)
-        ]
+        hits = cache.reload(self._resolved, self._groups)
+        if not hot_on_miss:
+            return hits if hot_on_hit else []
+        hit_set = set(hits)
+        return [index for index in range(self.entries)
+                if (hot_on_hit if index in hit_set else hot_on_miss)]
 
     def receive_byte(self) -> int:
         """Decode a single transmitted byte, or -1 if nothing was sent.

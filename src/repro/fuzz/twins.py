@@ -24,6 +24,8 @@ class attribute:
   conditional history on every probe round.
 * :class:`ExhaustivePathSearch` -- the Pathfinder search without its
   dead-state transposition table.
+* :class:`EagerDataCache` -- a Flush+Reload sweep that fills every probe
+  line at once instead of owing the fills (swaps ``DataCache._reload``).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.aes.core import _gf_mul, add_round_key, shift_rows, sub_bytes
 from repro.aes.trials import AesVictimSpec
 from repro.aes.victim import (CIPHERTEXT_ADDRESS, KEY_BASE,
                               PLAINTEXT_ADDRESS, STATE_ADDRESS, AesVictim)
+from repro.cpu.cache import DataCache
 from repro.cpu.machine import Machine
 from repro.cpu.phr import PathHistoryRegister
 from repro.isa.instructions import (WORD_MASK, BinaryOp, Call, CondBranch,
@@ -499,3 +502,16 @@ class ExhaustivePathSearch(PathSearch):
 
     def _dead_states(self) -> _NoDeadStates:
         return _NoDeadStates()
+
+
+# ----------------------------------------------------------------------
+# the eager Flush+Reload sweep
+# ----------------------------------------------------------------------
+
+class EagerDataCache(DataCache):
+    """:class:`~repro.cpu.cache.DataCache` whose reload walks and fills
+    every probe line at once -- the full ``access_resolved`` sweep,
+    O(probe lines) per reload and per following restore."""
+
+    def _reload(self, resolved, groups) -> List[int]:
+        return self._fill(resolved)

@@ -83,6 +83,11 @@ class SnapshotStore:
         self._memory = LruCache(memory_entries)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
+        #: Running byte total of the spill directory, seeded from one
+        #: listing and kept up to date by put and eviction.  Another
+        #: process sharing the directory can make it low; it is re-seeded
+        #: from a fresh listing every time it crosses the budget.
+        self._disk_total = self.disk_bytes()
 
     # ------------------------------------------------------------------
 
@@ -124,15 +129,15 @@ class SnapshotStore:
                 f"store values are MachineSnapshots, "
                 f"got {type(snapshot).__name__}")
         meta = dict(meta) if meta else {}
-        on_disk = self._write_artifact(key, snapshot, meta)
+        written = self._write_artifact(key, snapshot, meta)
         with self._lock:
             self.stats.puts += 1
-            if on_disk:
+            if written:
                 self.stats.spills += 1
             self.stats.memory_evictions += self._memory.put(
                 key, (snapshot, meta))
-        if on_disk:
-            self._trim_disk(protect=key)
+        if written:
+            self._trim_disk(protect=key, written=written)
 
     def __contains__(self, key: str) -> bool:
         check_key(key, StoreError)
@@ -160,6 +165,8 @@ class SnapshotStore:
                     path.unlink()
                 except OSError:
                     pass
+            with self._lock:
+                self._disk_total = self.disk_bytes()
 
     # ------------------------------------------------------------------
 
@@ -226,10 +233,11 @@ class SnapshotStore:
         return listing
 
     def _write_artifact(self, key: str, snapshot: MachineSnapshot,
-                        meta: dict) -> bool:
+                        meta: dict) -> int:
+        """Spill one artifact; the bytes written (0: nothing written)."""
         path = self._artifact_path(key)
         if path is None:
-            return False
+            return 0
         if path.exists():
             # Content-addressed: an existing artifact for this key holds
             # these exact bytes already.  Refresh its eviction clock.
@@ -237,7 +245,7 @@ class SnapshotStore:
                 os.utime(path)
             except OSError:
                 pass
-            return False
+            return 0
         meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
         body = (len(meta_blob).to_bytes(4, "big") + meta_blob
                 + snapshot.to_bytes())
@@ -253,8 +261,8 @@ class SnapshotStore:
                 scratch.unlink()
             except OSError:
                 pass
-            return False
-        return True
+            return 0
+        return len(body)
 
     def _read_artifact(self, key: str
                        ) -> Optional[Tuple[MachineSnapshot, dict]]:
@@ -292,28 +300,32 @@ class SnapshotStore:
             except OSError:
                 pass
 
-    def _trim_disk(self, protect: Optional[str] = None) -> None:
-        """Evict oldest artifacts until the byte budget holds.
+    def _trim_disk(self, protect: Optional[str] = None,
+                   written: int = 0) -> None:
+        """Count ``written`` new bytes; evict oldest artifacts until the
+        byte budget holds.
 
-        The just-written key is protected so one oversized workload
-        cannot evict its own checkpoint in a write/evict churn.
+        O(1) while the running total stays under the budget; only a put
+        that crosses it lists the directory, and the total is re-seeded
+        from that listing.  The just-written key is protected so one
+        oversized workload cannot evict its own checkpoint in a
+        write/evict churn.
         """
-        if self.directory is None:
-            return
-        listing = self._artifact_listing()
-        total = sum(size for __, size, __ in listing)
-        if total <= self.disk_budget_bytes:
-            return
-        for key, size, __ in sorted(listing, key=lambda item: item[2]):
-            if key == protect:
-                continue
-            path = self._artifact_path(key)
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            with self._lock:
+        with self._lock:
+            self._disk_total += written
+            if self._disk_total <= self.disk_budget_bytes:
+                return
+            listing = self._artifact_listing()
+            total = sum(size for __, size, __ in listing)
+            for key, size, __ in sorted(listing, key=lambda item: item[2]):
+                if total <= self.disk_budget_bytes:
+                    break
+                if key == protect:
+                    continue
+                try:
+                    self._artifact_path(key).unlink()
+                except OSError:
+                    continue
                 self.stats.disk_evictions += 1
-            total -= size
-            if total <= self.disk_budget_bytes:
-                break
+                total -= size
+            self._disk_total = total

@@ -15,6 +15,7 @@ from repro.cpu.config import TARGET_MACHINES
 from repro.cpu.footprint import branch_footprint, branch_footprint_reference
 from repro.cpu.pht import TaggedTable
 from repro.cpu.phr import STEP_JOURNAL_DEPTH, PathHistoryRegister
+from repro.fuzz.twins import NaivePhrReader
 from repro.primitives import PhrReader, VictimHandle
 from repro.utils.bits import fold_xor, fold_xor_reference
 
@@ -165,7 +166,11 @@ class TestFoldedHashEquivalence:
 class TestVictimPhrCaching:
     def test_cached_and_uncached_reads_agree(self):
         """Read_PHR with the post-Clear PHR cache vs. full victim
-        re-execution every iteration must recover identical doublets."""
+        re-execution for every guess must recover identical doublets.
+
+        The uncached side is :class:`repro.fuzz.twins.NaivePhrReader`,
+        which re-runs ``Clear_PHR`` + the victim before every measured
+        guess; counting the victim's ``invoke`` calls proves it did."""
         program = build_counted_loop(6)
 
         cached_machine = Machine(RAPTOR_LAKE)
@@ -173,28 +178,30 @@ class TestVictimPhrCaching:
                                   VictimHandle(cached_machine, program))
         cached = cached_reader.read(count=10)
 
-        replay_machine = Machine(RAPTOR_LAKE)
+        uncached_machine = Machine(RAPTOR_LAKE)
 
-        class UncachedVictim:
-            """Defeats the reader's cache by exposing no stable invoke
-            identity: each call truly re-executes."""
-
+        class CountingVictim:
             def __init__(self):
-                self.handle = VictimHandle(replay_machine, program,
+                self.handle = VictimHandle(uncached_machine, program,
                                            mode="execute")
+                self.invocations = 0
 
             def invoke(self, thread=0):
+                self.invocations += 1
                 self.handle.invoke(thread=thread)
 
-        uncached_reader = PhrReader(replay_machine, UncachedVictim())
-        # Invalidate the cache before every doublet read to force real
-        # execution on each taken-path iteration.
-        doublets = []
-        for index in range(10):
-            uncached_reader._victim_phr_cache = None
-            doublet, __ = uncached_reader.read_doublet(index, doublets)
-            doublets.append(doublet)
-        assert doublets == cached.doublets
+        class CountingReader(NaivePhrReader):
+            guesses = 0
+
+            def _measure_guess(self, *args, **kwargs):
+                CountingReader.guesses += 1
+                return super()._measure_guess(*args, **kwargs)
+
+        victim = CountingVictim()
+        uncached = CountingReader(uncached_machine, victim).read(count=10)
+        assert uncached.doublets == cached.doublets
+        assert CountingReader.guesses >= 4 * 10
+        assert victim.invocations >= CountingReader.guesses
 
     def test_replay_and_execute_victims_read_identically(self):
         program, __ = build_branchy_victim(seed=0x2D, conditional_count=8)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,6 +279,67 @@ class TestDiskTier:
         assert _key("a") not in remaining  # the oldest went first
         assert store.stats.disk_evictions >= 1
         assert store.disk_bytes() <= store.disk_budget_bytes
+
+    def test_puts_under_budget_list_the_directory_once(self, tmp_path,
+                                                       monkeypatch):
+        store = SnapshotStore(directory=tmp_path)
+        listings = []
+        listing = store._artifact_listing
+
+        def counted():
+            listings.append(1)
+            return listing()
+
+        monkeypatch.setattr(store, "_artifact_listing", counted)
+        snapshot = _snapshot()
+        for index in range(100):
+            store.put(_key(f"k{index}"), snapshot)
+        assert store.stats.spills == 100
+        assert listings == []  # seeded at construction; each put is O(1)
+        assert store._disk_total == store.disk_bytes()
+
+    def test_concurrent_puts_keep_the_byte_total(self, tmp_path):
+        store = SnapshotStore(directory=tmp_path)
+        snapshot = _snapshot()
+        interval = sys.getswitchinterval()
+
+        def put_many(worker):
+            for index in range(25):
+                store.put(_key(f"w{worker}-{index}"), snapshot)
+
+        threads = [threading.Thread(target=put_many, args=(worker,))
+                   for worker in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.stats.spills == 100
+        assert store._disk_total == store.disk_bytes()
+
+    def test_crossing_the_budget_counts_a_sharing_store(self, tmp_path):
+        probe = SnapshotStore(directory=tmp_path)
+        probe.put(_key("probe"), _snapshot())
+        artifact_size = probe.disk_bytes()
+        probe.clear(memory=True, disk=True)
+        budget = int(artifact_size * 2.5)
+        mine = SnapshotStore(directory=tmp_path, disk_budget_bytes=budget)
+        other = SnapshotStore(directory=tmp_path, disk_budget_bytes=budget)
+        for index, (store, tag) in enumerate(
+                ((mine, "a"), (other, "b"), (mine, "c"), (mine, "d"))):
+            store.put(_key(tag), _snapshot())
+            path = tmp_path / f"{_key(tag)}{ARTIFACT_SUFFIX}"
+            os.utime(path, (1000 + index, 1000 + index))
+        # ``mine`` counted three of its own artifacts, crossed the
+        # budget, and re-listed: the listing held ``other``'s too.
+        remaining = {p.name[:-len(ARTIFACT_SUFFIX)]
+                     for p in tmp_path.glob(f"*{ARTIFACT_SUFFIX}")}
+        assert remaining == {_key("c"), _key("d")}
+        assert mine.disk_bytes() <= budget
 
     def test_clear_disk_removes_artifacts(self, tmp_path):
         store = SnapshotStore(directory=tmp_path)
