@@ -12,23 +12,23 @@ arms measure exactly that loop:
   replicas of one ``BatchMachine``.  Both arms must produce identical
   per-trial counts (the bit-identity contract), and the batch arm must
   be >= 3x faster (asserted in quick *and* full mode; the full-mode
-  target from ISSUE 6 is 10x, recorded as measured).
-* **aes-run-batch** (asserted) -- the per-plaintext AES victim sweep of
-  :func:`repro.aes.trials.run_victim_signatures` three ways: scalar,
-  batched with a cold architectural trace cache (phase 1 runs and
-  captures), and the identical batched sweep again warm (every replica
-  a cache hit -- phase 1 fully elided, the trace replays).  All three
-  must return bit-identical signatures; the warm sweep carries the
-  asserted >= 3x end-to-end speedup that the old phase-1 Amdahl wall
-  (0.5x-0.9x) made impossible.  The cold figure is recorded honestly
-  as measured.
+  target is 10x, recorded as measured).
+* **aes-run-batch** (asserted) -- the per-plaintext AES victim sweep in
+  the call shape of the service's ``aes_victim_signatures`` job:
+  ``BatchMachine.run_batch(memories, trace_cache=...)`` over blocks of
+  plaintexts, against one scalar ``Machine.run(..., speculate=False)``
+  per plaintext.  The trace cache is warmed once before timing, so
+  every timed replica is a cache hit (phase 1 fully elided, the trace
+  replays).  Both arms must return bit-identical signatures, and the
+  warm sweep carries the asserted >= 3x speedup.
 
-Results land in ``benchmarks/results/batch_throughput.json``;
+Each arm's speedup is the median of paired rounds
+(``conftest.paired_speedup``), with each side's median and IQR in
+seconds recorded next to it.  Results land in
+``benchmarks/results/batch_throughput.json``;
 ``benchmarks/check_regression.py`` gates CI on the ``*_speedup`` keys
 of consecutive records.
 """
-
-import time
 
 import pytest
 
@@ -36,9 +36,12 @@ np = pytest.importorskip("numpy")
 
 from repro.batch import BatchMachine
 from repro.cpu import Machine, RAPTOR_LAKE
+from repro.fuzz.twins import ReferenceAesVictim
+from repro.isa.memory import Memory
+from repro.isa.trace import TraceCache
 from repro.utils.rng import DeterministicRng
 
-from conftest import BENCH_QUICK, print_table
+from conftest import BENCH_QUICK, paired_speedup, print_table
 
 #: Replica count == trial count for the predictor-observe arm.  The
 #: per-branch vectorized cost is mostly fixed per *step*, so wider
@@ -50,13 +53,17 @@ STREAM_LENGTH = 120 if BENCH_QUICK else 400
 #: Distinct branch sites (narrow enough for real set contention).
 PC_POOL = 24
 
-#: AES arm sizing.  The sweep uses the byte-at-a-time "reference" data
-#: path: phase-1 interpretation dominates it, which is exactly the cost
-#: the trace cache elides.  (The table-driven "fast" path is so small --
-#: 54 instructions -- that fixed per-event phase-2 vector costs rival
+#: AES arm sizing.  The sweep uses the byte-at-a-time reference data
+#: path (:class:`repro.fuzz.twins.ReferenceAesVictim`): phase-1
+#: interpretation dominates it, which is exactly the cost the trace
+#: cache elides.  (The table-driven production victim is so small -- 54
+#: instructions -- that fixed per-event phase-2 vector costs rival
 #: scalar interpretation and no replay scheme can reach 3x.)
 AES_TRIALS = 96 if BENCH_QUICK else 192
-AES_VECTORIZE = 32 if BENCH_QUICK else 64
+AES_WIDTH = 32 if BENCH_QUICK else 64
+
+#: Paired rounds behind each recorded speedup (the median ratio).
+SPEEDUP_ROUNDS = 5
 
 SEED = 0xBA7C
 
@@ -72,13 +79,13 @@ def _make_stream():
     return stream, takens
 
 
-def _scalar_arm(stream, takens):
+def _scalar_observe(stream, takens):
+    """The scalar restore+observe loop, one machine, trial by trial."""
     machine = Machine(RAPTOR_LAKE)
     checkpoint = machine.snapshot()
 
     def run_once():
         counts = []
-        start = time.perf_counter()
         for trial in range(REPLICAS):
             machine.restore(checkpoint)
             row = takens[trial]
@@ -87,152 +94,144 @@ def _scalar_arm(stream, takens):
                 if machine.observe_conditional(pc, target, row[step]):
                     mispredictions += 1
             counts.append(mispredictions)
-        return time.perf_counter() - start, counts
+        return counts
 
-    # Best of two passes: the first touches cold allocator/cache state.
-    first_s, counts = run_once()
-    second_s, again = run_once()
-    assert again == counts
-    return min(first_s, second_s), counts
+    return run_once
 
 
-def _batch_arm(stream, takens):
+def _batch_observe(stream, takens):
+    """The same trials as replicas of one lockstep ``BatchMachine``."""
     batch = BatchMachine(REPLICAS, RAPTOR_LAKE)
     checkpoint = batch.snapshot()
     columns = [[takens[trial][step] for trial in range(REPLICAS)]
                for step in range(STREAM_LENGTH)]
 
     def run_once():
-        start = time.perf_counter()
         batch.restore(checkpoint)
         counts = np.zeros(REPLICAS, dtype=np.int64)
         for step, (pc, target) in enumerate(stream):
             counts += batch.observe_conditional(pc, target, columns[step])
-        return time.perf_counter() - start, [int(count) for count in counts]
+        return [int(count) for count in counts]
 
-    first_s, counts = run_once()
-    second_s, again = run_once()
-    assert again == counts
-    return min(first_s, second_s), counts
+    return run_once
 
 
-def _aes_arm():
-    """Scalar vs cold-cached vs warm-cached per-plaintext sweeps.
+def _aes_arms():
+    """Scalar and warm trace-cached batched per-plaintext sweeps.
 
-    Both batched sweeps run the same seed, so the warm one replays the
-    exact plaintexts the cold one captured -- every replica hits the
-    trace cache and phase 1 never runs.
+    Each returns one ``[ciphertext hex, conditional branches,
+    conditional mispredictions]`` signature per plaintext, the service
+    job's shape, every run from the same pristine predictor state.
     """
-    from repro.aes.trials import run_victim_signatures, victim_trace_cache
-    from repro.fuzz.twins import ReferenceAesVictimSpec
+    rng = DeterministicRng(SEED)
+    plaintexts = [rng.bytes(16) for _ in range(AES_TRIALS)]
+    victim = ReferenceAesVictim(bytes(range(16)))
+    entry = victim.program.address_of("aes_encrypt")
+    machine = Machine(RAPTOR_LAKE)
+    pristine = machine.snapshot()
+    batch = BatchMachine.from_snapshot(RAPTOR_LAKE, pristine, AES_WIDTH)
+    batch_pristine = batch.snapshot()
+    cache = TraceCache(memory_entries=AES_TRIALS)
 
-    plain = ReferenceAesVictimSpec(key=bytes(range(16)))
-    cached = ReferenceAesVictimSpec(key=bytes(range(16)),
-                                    use_trace_cache=True)
-    cache = victim_trace_cache()
-    cache.clear()
-    cache.stats.reset()
+    def signature(result, memory):
+        return [victim.read_ciphertext(memory).hex(),
+                result.perf.conditional_branches,
+                result.perf.conditional_mispredictions]
 
-    def timed(spec, **kwargs):
-        start = time.perf_counter()
-        report = run_victim_signatures(spec, AES_TRIALS, workers=1,
-                                       **kwargs)
-        return time.perf_counter() - start, report
+    def scalar():
+        signatures = []
+        for plaintext in plaintexts:
+            machine.restore(pristine)
+            memory = Memory()
+            victim.provision(memory, plaintext)
+            result = machine.run(victim.program, memory=memory, entry=entry,
+                                 speculate=False, trace="none")
+            signatures.append(signature(result, memory))
+        return signatures
 
-    # Best-of-two passes for the scalar and warm sweeps, matching the
-    # other arms (the first pass touches cold allocator state).  The
-    # cold sweep is single-shot by construction: its second run IS the
-    # warm arm.
-    scalar_a, scalar = timed(plain)
-    scalar_b, scalar_again = timed(plain)
-    assert scalar_again.values == scalar.values
-    scalar_s = min(scalar_a, scalar_b)
+    def batched():
+        signatures = []
+        for low in range(0, AES_TRIALS, AES_WIDTH):
+            batch.restore(batch_pristine)
+            memories = []
+            for plaintext in plaintexts[low:low + AES_WIDTH]:
+                memory = Memory()
+                victim.provision(memory, plaintext)
+                memories.append(memory)
+            results = batch.run_batch(victim.program, memories, entry=entry,
+                                      trace="none", trace_cache=cache)
+            signatures.extend(signature(result, memory)
+                              for result, memory in zip(results, memories))
+        return signatures
 
-    cold_s, cold = timed(cached, vectorize=AES_VECTORIZE)
-
-    warm_a, warm = timed(cached, vectorize=AES_VECTORIZE)
-    warm_b, warm_again = timed(cached, vectorize=AES_VECTORIZE)
-    assert warm_again.values == warm.values
-    warm_s = min(warm_a, warm_b)
-
-    # Bit-identity across all sweeps, and fully warm repeat passes: the
-    # trace cache served every one of their replicas.
-    assert cold.values == scalar.values
-    assert warm.values == scalar.values
-    assert cache.stats.hits >= 2 * AES_TRIALS, cache.stats.as_dict()
-    assert cache.stats.divergences == 0, cache.stats.as_dict()
-    return scalar_s, cold_s, warm_s
-
-
-def run_arms():
-    stream, takens = _make_stream()
-    scalar_s, scalar_counts = _scalar_arm(stream, takens)
-    batch_s, batch_counts = _batch_arm(stream, takens)
-    aes_scalar_s, aes_cold_s, aes_warm_s = _aes_arm()
-    return {
-        "scalar_s": scalar_s,
-        "batch_s": batch_s,
-        "scalar_counts": scalar_counts,
-        "batch_counts": batch_counts,
-        "aes_scalar_s": aes_scalar_s,
-        "aes_cold_s": aes_cold_s,
-        "aes_warm_s": aes_warm_s,
-    }
+    return scalar, batched, cache
 
 
 def test_batch_throughput(benchmark):
-    results = benchmark.pedantic(run_arms, rounds=1, iterations=1)
-    trials_total = REPLICAS
-    scalar_rate = trials_total / results["scalar_s"]
-    batch_rate = trials_total / results["batch_s"]
-    speedup = results["scalar_s"] / results["batch_s"]
-    aes_cold_speedup = results["aes_scalar_s"] / results["aes_cold_s"]
-    aes_warm_speedup = results["aes_scalar_s"] / results["aes_warm_s"]
+    info = benchmark.extra_info
+    stream, takens = _make_stream()
+    scalar_observe = _scalar_observe(stream, takens)
+    batch_observe = _batch_observe(stream, takens)
+    # Bit-identity: the two arms observe the same mispredictions.
+    assert batch_observe() == scalar_observe()
+    speedup = paired_speedup(batch_observe, scalar_observe, info, "observe",
+                             SPEEDUP_ROUNDS)
+
+    aes_scalar, aes_batched, cache = _aes_arms()
+    # The untimed cold sweep captures every plaintext's trace.
+    assert aes_batched() == aes_scalar()
+    assert cache.stats.puts == AES_TRIALS, cache.stats.as_dict()
+    aes_speedup = paired_speedup(aes_batched, aes_scalar, info, "aes",
+                                 SPEEDUP_ROUNDS)
+    benchmark.pedantic(aes_batched, rounds=1, iterations=1)
+    # Every timed batched replica was a verified trace-cache hit.
+    assert cache.stats.hits == (SPEEDUP_ROUNDS + 1) * AES_TRIALS, \
+        cache.stats.as_dict()
+    assert cache.stats.divergences == 0, cache.stats.as_dict()
+    assert aes_batched() == aes_scalar()
 
     print_table(
-        f"Batch engine -- {trials_total} trials x {STREAM_LENGTH} branches "
-        f"({'quick' if BENCH_QUICK else 'full'} mode)",
-        ["arm", "time", "trials/sec", "speedup"],
+        f"Batch engine -- {REPLICAS} trials x {STREAM_LENGTH} branches, "
+        f"{AES_TRIALS} AES plaintexts "
+        f"({'quick' if BENCH_QUICK else 'full'} mode, median of "
+        f"{SPEEDUP_ROUNDS} paired rounds)",
+        ["arm", "median", "IQR", "speedup"],
         [
             ["scalar restore+observe loop",
-             f"{results['scalar_s']:.3f}s", f"{scalar_rate:,.0f}", "1.00x"],
+             f"{info['observe_slow_median_s']:.3f}s",
+             f"{info['observe_slow_iqr_s']:.3f}s", "1.00x"],
             [f"BatchMachine({REPLICAS}) lockstep",
-             f"{results['batch_s']:.3f}s", f"{batch_rate:,.0f}",
-             f"{speedup:.2f}x"],
-            [f"AES run_batch cold cache (vectorize={AES_VECTORIZE})",
-             f"{results['aes_cold_s']:.3f}s "
-             f"(vs {results['aes_scalar_s']:.3f}s scalar)",
-             f"{AES_TRIALS / results['aes_cold_s']:,.0f}",
-             f"{aes_cold_speedup:.2f}x"],
-            [f"AES run_batch warm cache (vectorize={AES_VECTORIZE})",
-             f"{results['aes_warm_s']:.3f}s",
-             f"{AES_TRIALS / results['aes_warm_s']:,.0f}",
-             f"{aes_warm_speedup:.2f}x"],
+             f"{info['observe_fast_median_s']:.3f}s",
+             f"{info['observe_fast_iqr_s']:.3f}s", f"{speedup:.2f}x"],
+            ["AES scalar Machine.run per plaintext",
+             f"{info['aes_slow_median_s']:.3f}s",
+             f"{info['aes_slow_iqr_s']:.3f}s", "1.00x"],
+            [f"AES run_batch warm trace cache (width {AES_WIDTH})",
+             f"{info['aes_fast_median_s']:.3f}s",
+             f"{info['aes_fast_iqr_s']:.3f}s", f"{aes_speedup:.2f}x"],
         ],
     )
 
-    # Bit-identity: the two arms observed the same mispredictions.
-    assert results["batch_counts"] == results["scalar_counts"]
-
     # The throughput gates.  Quick mode runs on loaded CI machines with
-    # a small batch, so the floor is 3x there; the 10x ISSUE 6 target is
-    # the full-mode expectation, recorded as measured.  The warm AES
+    # a small batch, so the floor is 3x there; the 10x target is the
+    # full-mode expectation, recorded as measured.  The warm AES
     # sweep replays captured traces instead of re-interpreting phase 1,
     # which is what lifts the old 0.5x-0.9x Amdahl ceiling past 3x.
     assert speedup >= 3.0, (
         f"batch engine only {speedup:.2f}x over the scalar trial loop")
-    assert aes_warm_speedup >= 3.0, (
-        f"warm trace-cached AES sweep only {aes_warm_speedup:.2f}x over "
+    assert aes_speedup >= 3.0, (
+        f"warm trace-cached AES sweep only {aes_speedup:.2f}x over "
         f"the scalar sweep")
 
-    benchmark.extra_info.update({
+    info.update({
         "replicas": REPLICAS,
         "stream_length": STREAM_LENGTH,
-        "scalar_trials_per_s": round(scalar_rate, 1),
-        "batch_trials_per_s": round(batch_rate, 1),
+        "scalar_trials_per_s": round(
+            REPLICAS / info["observe_slow_median_s"], 1),
+        "lockstep_trials_per_s": round(
+            REPLICAS / info["observe_fast_median_s"], 1),
         "aes_trials": AES_TRIALS,
-        "aes_vectorize": AES_VECTORIZE,
+        "aes_width": AES_WIDTH,
         "batch_speedup": round(speedup, 2),
-        "aes_cold_speedup": round(aes_cold_speedup, 2),
-        "aes_batch_speedup": round(aes_warm_speedup, 2),
+        "aes_batch_speedup": round(aes_speedup, 2),
     })

@@ -39,24 +39,10 @@ from repro.aes.attack import (
     AmbiguousChannelError,
     LeakResult,
 )
-from repro.aes.trials import (
-    AesAttackSpec,
-    AesVictimSpec,
-    build_attack,
-    run_victim_signatures,
-    setup_attack,
-    setup_victim_signature,
-    victim_signature_batch,
-    victim_signature_trial,
-)
+from repro.aes.trials import AesAttackSpec, build_attack, setup_attack
 
 __all__ = [
     "AesAttackSpec",
-    "AesVictimSpec",
-    "run_victim_signatures",
-    "setup_victim_signature",
-    "victim_signature_batch",
-    "victim_signature_trial",
     "AesCbcVictim",
     "AesSpectreAttack",
     "AmbiguousChannelError",

@@ -98,10 +98,6 @@ PENDING_FOLD_LIMIT = 8192
 #: (bounds the (N, T) working set for long programs).
 REPLAY_COLUMNS = 2048
 
-#: Distinguishes "no shared input" from "shared input of None" (fresh
-#: state/memory) in :meth:`BatchMachine.run_batch`.
-_UNSET = object()
-
 
 class BatchStateError(RuntimeError):
     """The batch was left mid-update by a failed :meth:`run_batch`.
@@ -192,7 +188,7 @@ class _ReplayHooks(CpuHooks):
         #: ``(kind, pc, target, taken, next_pc)`` per committed branch --
         #: the :mod:`repro.isa.trace` event shape.  Phase-2 replay only
         #: reads the first four columns; the kind codes and return
-        #: address feed the trace walk of cached/shared replays.
+        #: address feed the trace walk of cached replays.
         self.events: List[Tuple[int, int, int, int, int]] = []
         self.phr = phr
         self.cache = cache
@@ -245,10 +241,10 @@ class _CaptureHooks(_ReplayHooks):
     """Phase-1 hooks that additionally record the cache-access stream.
 
     The extra ``accesses`` list is what lets a captured run stand in for
-    other replicas: replaying it through a replica's own cache
-    reproduces the fills, evictions, and hit/miss counters the replica's
-    own phase 1 would have produced (the address stream is architectural
-    and identical across replicas under ``speculate=False``).
+    later runs of the same input: replaying it through a replica's own
+    cache reproduces the fills, evictions, and hit/miss counters the
+    replica's own phase 1 would have produced (the address stream is
+    architectural and identical across runs under ``speculate=False``).
     """
 
     __slots__ = ("accesses",)
@@ -674,7 +670,6 @@ class BatchMachine:
         speculate: bool = False,
         trace: str = "branches",
         on_limit: str = "raise",
-        shared_input=_UNSET,
         trace_cache=None,
     ) -> List[BatchRunResult]:
         """Run ``program`` once per replica; return per-replica results.
@@ -691,29 +686,13 @@ class BatchMachine:
         call raises :class:`BatchStateError` until a
         :meth:`restore`/:meth:`load_snapshot`.
 
-        **Shared-trace mode** (``shared_input=...``, exclusive with
-        ``inputs``/``trace_cache``): every replica runs the *same*
-        architectural input, so phase 1 -- the serial interpreter walk
-        that dominates batch wall-clock -- executes exactly once, on
-        replica 0, capturing the committed branch-event and cache-access
-        streams.  The other replicas replay the capture through their own
-        shadows and phase 2 broadcasts the one event stream batch-wide.
-        ``shared_input`` takes one input in the per-replica item shape
-        (``None``, a :class:`Memory`, or a ``(state, memory)`` pair); the
-        single state/memory is mutated by the one real run and every
-        result carries its own copy of the final register state.
-        Replicas must start from the same data-cache state (the
-        load_snapshot/restore broadcast idiom guarantees it): load
-        latencies recorded in the final ``reg_latency`` are taken from
-        replica 0's cache.
-
         **Cached-trace mode** (``trace_cache=...``, a
         :class:`repro.isa.trace.TraceCache` or any object with its
         ``get``/``put`` shape): for input-*dependent* sweeps that revisit
-        the same inputs (the AES per-plaintext trials).  Each replica's
-        phase 1 is keyed by program + entry + trace mode + full
-        architectural input + starting cache state; a hit replays the
-        stored :class:`~repro.isa.trace.ArchTrace` instead of
+        the same inputs (the service's ``aes_victim_signatures`` job).
+        Each replica's phase 1 is keyed by program + entry + trace mode +
+        full architectural input + starting cache state; a hit replays
+        the stored :class:`~repro.isa.trace.ArchTrace` instead of
         re-interpreting, a miss captures and stores (halted runs only).
         Divergence detection in the cache degrades any damaged entry to
         a miss.
@@ -722,28 +701,14 @@ class BatchMachine:
             raise ValueError(
                 "the batch engine cannot model speculation; run "
                 "speculative workloads on the scalar Machine")
-        shared = shared_input is not _UNSET
-        if shared and inputs is not None:
-            raise ValueError(
-                "shared_input and inputs are mutually exclusive: shared-"
-                "trace mode runs one input on every replica")
-        if shared and trace_cache is not None:
-            raise ValueError(
-                "shared_input and trace_cache are mutually exclusive: a "
-                "shared run is already captured exactly once")
         self._check_poisoned()
         self.sync()
         self._epoch += 1
         perf_before = [self._perf[i].snapshot() for i in range(self.n)]
         try:
-            if shared:
-                executions, events = self._phase1_shared(
-                    program, shared_input, entry, max_instructions, trace,
-                    on_limit)
-            else:
-                executions, events = self._phase1_per_replica(
-                    program, inputs, entry, max_instructions, trace,
-                    on_limit, trace_cache)
+            executions, events = self._phase1(
+                program, inputs, entry, max_instructions, trace, on_limit,
+                trace_cache)
             self._replay_events(events)
             self.sync()
         except BaseException:
@@ -758,7 +723,7 @@ class BatchMachine:
             for i in range(self.n)
         ]
 
-    def _phase1_per_replica(
+    def _phase1(
         self, program: Program, inputs, entry: Optional[int],
         max_instructions: int, trace: str, on_limit: str, trace_cache,
     ) -> Tuple[List[ExecutionResult], List[List[tuple]]]:
@@ -809,43 +774,6 @@ class BatchMachine:
                     key, hooks.events, hooks.accesses, execution,
                     initial_memory, memory, trace))
         return executions, events
-
-    def _phase1_shared(
-        self, program: Program, shared_input, entry: Optional[int],
-        max_instructions: int, trace: str, on_limit: str,
-    ) -> Tuple[List[ExecutionResult], List[List[tuple]]]:
-        """Phase 1, shared-trace mode: interpret once, walk N-1 times."""
-        state, memory = self._normalize_one(shared_input)
-        shadow_phr = self._backend.make_history(self.phr_value(0))
-        hooks = _CaptureHooks(shadow_phr, self._cache[0], self._perf[0],
-                              self._ras[0], self._ibp[0])
-        interpreter = Interpreter(program, hooks)
-        execution = interpreter.run(
-            state=state, memory=memory, entry=entry,
-            max_instructions=max_instructions, trace=trace,
-            on_limit=on_limit)
-        captured = ArchTrace(
-            key="0" * 64,  # never cached; identity is this call only
-            events=hooks.events,
-            accesses=hooks.accesses,
-            instructions=execution.instructions,
-            records=execution.trace,
-            trace_mode=trace,
-            final_state=execution.state,
-            memory_delta={},
-            halted=execution.halted,
-        )
-        executions: List[ExecutionResult] = [execution]
-        for i in range(1, self.n):
-            self._walk_trace(i, captured)
-            executions.append(ExecutionResult(
-                trace=execution.trace,
-                instructions=execution.instructions,
-                state=execution.state.copy(),
-                halted=execution.halted,
-                next_pc=execution.next_pc,
-            ))
-        return executions, [hooks.events] * self.n
 
     def _replay_trace(self, i: int, cached: ArchTrace, state: CpuState,
                       memory: Memory) -> ExecutionResult:

@@ -341,7 +341,7 @@ def _family_generic_arms(
         fuzz_program, machine_mutator, arm_prefix=arm_prefix)
     divergences += _check_batch_twin(fuzz_program, machine_mutator,
                                      arm_prefix=arm_prefix)
-    divergences += _check_shared_trace(fuzz_program, machine_mutator,
+    divergences += _check_cached_trace(fuzz_program, machine_mutator,
                                        arm_prefix=arm_prefix)
     return divergences, fast
 
@@ -360,7 +360,7 @@ def check_program_backends(
     (:meth:`~repro.fuzz.generator.FuzzProgram.with_predictor_model`) and
     repeats the arms that are family-generic: reference-vs-fast engine
     equivalence, snapshot/restore replay, snapshot wire-format
-    round-trip, and the vectorized batch-twin / shared-trace arms
+    round-trip, and the vectorized batch-twin / cached-trace arms
     (every registered family has a batch backend, so the bit-identity
     contract is fuzzed per family) -- each with the invariant oracle
     riding along.  Arm labels are prefixed ``<model-id>:`` so a corpus
@@ -470,23 +470,19 @@ def _check_batch_twin(
     return divergences
 
 
-def _check_shared_trace(
+def _check_cached_trace(
     fuzz_program: FuzzProgram,
     machine_mutator: Optional[MachineMutator],
     arm_prefix: str = "",
 ) -> List[Divergence]:
     """Trace-once/replay-many against scalar twins, bit for bit.
 
-    Two sub-arms of the phase-1 elision machinery:
-
-    * ``shared-trace[i]`` -- ``run_batch(shared_input=...)`` runs phase 1
-      once and replays the committed event stream into every replica;
-      each replica must still match a fresh scalar ``speculate=False``
-      run on identically-provisioned memory.
-    * ``cached-trace[i]`` -- the same batch run twice through one
-      :class:`~repro.isa.trace.TraceCache`: the warm pass (every
-      replica a cache hit, phase 1 fully skipped) must match the scalar
-      twins just as exactly, and the cache must report zero divergences.
+    The same batch run twice through one
+    :class:`~repro.isa.trace.TraceCache`: the cold pass captures, and
+    the warm pass (every replica a cache hit, phase 1 fully skipped)
+    must match fresh scalar ``speculate=False`` twins just as exactly
+    (``cached-trace-cold[i]`` / ``cached-trace-warm[i]``); the cache must
+    report zero divergences.
     """
     BatchMachine = _batch_engine(fuzz_program, machine_mutator)
     if BatchMachine is None:
@@ -495,20 +491,6 @@ def _check_shared_trace(
     n = 2
     scalars = _scalar_twins(fuzz_program, n)
     divergences = CheckResult()
-
-    # Sub-arm 1: one phase-1 run broadcast to every replica.
-    batch = BatchMachine(n, config)
-    shared_memory = _provision_memory(fuzz_program)
-    results = batch.run_batch(
-        fuzz_program.program,
-        max_instructions=fuzz_program.max_instructions, trace="full",
-        shared_input=shared_memory)
-    for i in range(n):
-        divergences += _compare_replica(
-            f"{arm_prefix}shared-trace[{i}]", results[i], shared_memory,
-            batch.extract(i), scalars[i])
-
-    # Sub-arm 2: cold capture then warm replay through the trace cache.
     cache = TraceCache()
     for label in ("cold", "warm"):
         batch = BatchMachine(n, config)

@@ -13,10 +13,9 @@ class attribute:
   original ``isinstance``-dispatch loops (committed and wrong-path) in
   place of the predecoded threaded code; the machine swaps
   ``Machine._interpreter``.
-* :class:`ReferenceAesVictim` / :class:`ReferenceAesVictimSpec` -- the
-  stage-by-stage AES rounds over byte-at-a-time memory I/O (the seed
-  data path); the victim swaps ``AesVictim._pyops``, the picklable spec
-  swaps ``AesVictimSpec._victim`` so harness workers build it.
+* :class:`ReferenceAesVictim` -- the stage-by-stage AES rounds over
+  byte-at-a-time memory I/O (the seed data path); it swaps
+  ``AesVictim._pyops``.
 * :class:`NaiveReplayEngine` -- caches nothing and re-runs the builder
   chain from the root on every establish; :class:`NaivePhrReader` and
   :class:`NaivePhtReader` build it through their ``_replay_engine``.
@@ -33,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.aes.core import _gf_mul, add_round_key, shift_rows, sub_bytes
-from repro.aes.trials import AesVictimSpec
 from repro.aes.victim import (CIPHERTEXT_ADDRESS, KEY_BASE,
                               PLAINTEXT_ADDRESS, STATE_ADDRESS, AesVictim)
 from repro.cpu.cache import DataCache
@@ -418,13 +416,6 @@ class ReferenceAesVictim(AesVictim):
     ciphertexts, traces and counters as :class:`AesVictim`."""
 
     _pyops = (_xor_key0, _aesenc_op, _aesenclast_op)
-
-
-class ReferenceAesVictimSpec(AesVictimSpec):
-    """An :class:`~repro.aes.trials.AesVictimSpec` whose harness workers
-    build :class:`ReferenceAesVictim` (picklable by qualified name)."""
-
-    _victim = ReferenceAesVictim
 
 
 # ----------------------------------------------------------------------

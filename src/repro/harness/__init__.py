@@ -10,11 +10,6 @@ execution engine:
   with per-trial forked :class:`~repro.utils.rng.DeterministicRng`
   streams, chunked scheduling, and progress/failure accounting.  The
   determinism contract pins ``workers=N`` bit-identical to ``workers=1``.
-  Pass ``vectorize=N`` with a ``batch_trial`` callable to run blocks of
-  N trials through one :class:`~repro.batch.BatchMachine` sweep instead
-  of N scalar trials (with automatic per-block scalar fallback);
-  ``workers=W`` with ``vectorize=N`` is the one multi-process path for
-  batch sweeps, bit-identical to the serial run.
 * :meth:`repro.cpu.machine.Machine.snapshot` /
   :meth:`~repro.cpu.machine.Machine.restore` (the cpu layer's half of the
   harness) reset a trained machine between trials in O(changed-state)

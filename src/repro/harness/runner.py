@@ -28,9 +28,7 @@ degrades to the serial path (``TrialReport.parallel`` says which ran).
 Scheduling is chunked: ``chunk_size`` trials ship per task to amortize
 pool round-trips, and failures are captured per trial -- a raising trial
 records a :class:`TrialFailure` instead of poisoning its whole chunk.
-This pool is the package's one process fan-out: a batch-vectorized
-sweep (``vectorize=N``) parallelizes by shipping whole width-``N``
-blocks per chunk to the same workers.
+This pool is the package's one process fan-out.
 """
 
 from __future__ import annotations
@@ -141,12 +139,8 @@ class TrialReport:
     #: for the no-``fork``-platform serial fallback).
     parallel: bool = False
     elapsed: float = 0.0
-    #: Batch width the vectorized fast path ran with (1 = scalar trials).
-    vectorize: int = 1
     #: Per-trial wall-clock seconds ordered by trial index (``None`` for
-    #: trials that never ran).  Trials in a vectorized block share the
-    #: block's elapsed time evenly (the scheduler cannot see inside one
-    #: batch call).
+    #: trials that never ran).
     timings: List[Optional[float]] = field(default_factory=list)
     #: True when a KeyboardInterrupt/shutdown drained the run early:
     #: completed chunks are reported, pending trials carry a
@@ -176,18 +170,15 @@ class TrialReport:
         return summarize_timings(self.timings)
 
 
-def _chunk_indices(count: int, chunk_size: Optional[int], workers: int,
-                   width: int) -> List[range]:
+def _chunk_indices(count: int, chunk_size: Optional[int],
+                   workers: int) -> List[range]:
     """Split ``range(count)`` into contiguous scheduling chunks.
 
     The default aims at ~4 chunks per worker so a slow chunk cannot
-    serialize the tail, while keeping pool round-trips amortized.  It is
-    rounded up to a multiple of the batch ``width``, because a chunk
-    cuts every vectorize block it holds to its own size.
+    serialize the tail, while keeping pool round-trips amortized.
     """
     if chunk_size is None:
         chunk_size = max(1, -(-count // (4 * workers)))
-        chunk_size = -(-chunk_size // width) * width
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
     return [range(low, min(low + chunk_size, count))
@@ -218,45 +209,6 @@ def _run_chunk(context: Any, trial: Callable, indices: range,
     return results
 
 
-def _run_chunk_batched(context: Any, trial: Callable, batch_trial: Callable,
-                       indices: range, seed: int, width: int) -> List[tuple]:
-    """Run one chunk through ``batch_trial`` in blocks of ``width`` trials.
-
-    ``batch_trial(context, indices, rngs)`` must return one value per
-    index, in order.  Each trial still sees the RNG stream
-    ``trial_rng(seed, index)``, so a batched run is bit-identical to the
-    scalar path for trials that honor the determinism contract.  A block
-    whose batch call raises -- or returns the wrong number of values --
-    falls back to scalar ``trial`` calls with *fresh* RNG forks, so one
-    misbehaving block degrades to the slow path instead of failing
-    ``width`` trials at once.
-    """
-    results: List[tuple] = []
-    index_list = list(indices)
-    for low in range(0, len(index_list), width):
-        block = index_list[low:low + width]
-        begin = time.perf_counter()
-        try:
-            values = batch_trial(context, list(block),
-                                 [trial_rng(seed, index) for index in block])
-            if values is None or len(values) != len(block):
-                raise ValueError(
-                    f"batch_trial returned "
-                    f"{'no values' if values is None else len(values)} "
-                    f"for {len(block)} trials"
-                )
-        except Exception:  # noqa: BLE001 -- degrade to the scalar path
-            results.extend(_run_chunk(context, trial, block, seed))
-            continue
-        # One batch call is one timing event; split it evenly since the
-        # scheduler cannot attribute lockstep work to single trials.
-        per_trial = (time.perf_counter() - begin) / len(block)
-        results.extend(
-            (index, True, value, per_trial)
-            for index, value in zip(block, values))
-    return results
-
-
 #: Worker-process context, built once by the pool initializer.
 _WORKER_CONTEXT: Any = None
 
@@ -266,12 +218,8 @@ def _worker_initialize(setup: Optional[Callable], spec: Any) -> None:
     _WORKER_CONTEXT = setup(spec) if setup is not None else None
 
 
-def _worker_run_chunk(trial: Callable, indices: range, seed: int,
-                      batch_trial: Optional[Callable] = None,
-                      vectorize: int = 1) -> List[tuple]:
-    if batch_trial is not None:
-        return _run_chunk_batched(_WORKER_CONTEXT, trial, batch_trial,
-                                  indices, seed, vectorize)
+def _worker_run_chunk(trial: Callable, indices: range,
+                      seed: int) -> List[tuple]:
     return _run_chunk(_WORKER_CONTEXT, trial, indices, seed)
 
 
@@ -293,9 +241,6 @@ def run_trials(
     chunk_size: Optional[int] = None,
     on_error: str = "raise",
     progress: Optional[Callable[[int, int], None]] = None,
-    vectorize: Optional[int] = None,
-    batch_trial: Optional[Callable[[Any, List[int], List[DeterministicRng]],
-                                   Sequence[Any]]] = None,
 ) -> TrialReport:
     """Run ``count`` independent trials, optionally across processes.
 
@@ -306,33 +251,13 @@ def run_trials(
     :class:`TrialError` after all trials ran) or ``'collect'`` (return
     the report with failures recorded and ``values[i] is None``).
 
-    The vectorized fast path: pass ``batch_trial(context, indices, rngs)
-    -> values`` plus ``vectorize=N`` and each chunk runs in blocks of up
-    to ``N`` trials through one batch call (a
-    :class:`~repro.batch.BatchMachine` sweep, say) instead of ``N``
-    scalar ``trial`` calls.  ``trial`` stays required -- it is the
-    semantic reference and the per-block fallback when a batch call
-    raises or returns the wrong number of values.
-
-    ``workers=W`` plus ``vectorize=N`` is the one multi-process path: it
-    fans chunks of whole width-``N`` blocks (the default chunk is a
-    multiple of ``N``) out over ``W`` ``fork`` workers, and the report is
-    bit-identical to the serial ``workers=1`` run.
+    ``workers=W`` fans the chunks out over ``W`` ``fork`` workers, and
+    the report is bit-identical to the serial ``workers=1`` run.
     """
     if count < 0:
         raise ValueError(f"trial count must be >= 0, got {count}")
     if on_error not in ("raise", "collect"):
         raise ValueError(f"unknown on_error mode {on_error!r}")
-    if vectorize is not None:
-        if not isinstance(vectorize, int) or isinstance(vectorize, bool) \
-                or vectorize < 1:
-            raise ValueError(
-                f"vectorize must be a positive integer, got {vectorize!r}")
-        if batch_trial is None:
-            raise ValueError("vectorize requires a batch_trial callable")
-    width = vectorize if batch_trial is not None else 1
-    if width is None:
-        width = 1
     workers = resolve_workers(workers)
     start = time.perf_counter()
     values: List[Any] = [None] * count
@@ -340,10 +265,9 @@ def run_trials(
     failures: List[TrialFailure] = []
     interrupted = False
     if count == 0:
-        return TrialReport(values=values, workers=workers, parallel=False,
-                           vectorize=width)
+        return TrialReport(values=values, workers=workers, parallel=False)
 
-    chunks = _chunk_indices(count, chunk_size, workers, width)
+    chunks = _chunk_indices(count, chunk_size, workers)
     mp_context = _fork_context() if workers > 1 else None
     parallel = workers > 1 and mp_context is not None
     touched = [False] * count
@@ -374,11 +298,7 @@ def run_trials(
         done = 0
         try:
             for chunk in chunks:
-                if batch_trial is not None:
-                    absorb(_run_chunk_batched(context, trial, batch_trial,
-                                              chunk, seed, width))
-                else:
-                    absorb(_run_chunk(context, trial, chunk, seed))
+                absorb(_run_chunk(context, trial, chunk, seed))
                 done += len(chunk)
                 if progress is not None:
                     progress(done, count)
@@ -395,11 +315,20 @@ def run_trials(
         )
         processed: set = set()
         try:
-            futures = {
-                pool.submit(_worker_run_chunk, trial, chunk, seed,
-                            batch_trial, width): chunk
-                for chunk in chunks
-            }
+            futures = {}
+            unsubmitted: List[range] = []
+            for position, chunk in enumerate(chunks):
+                try:
+                    future = pool.submit(_worker_run_chunk, trial, chunk,
+                                         seed)
+                except BrokenProcessPool:
+                    # A worker died while chunks were still being
+                    # queued, and a broken pool refuses every later
+                    # submit: this chunk and the rest are recorded like
+                    # the chunks of the futures the death failed.
+                    unsubmitted = chunks[position:]
+                    break
+                futures[future] = chunk
             done = 0
             try:
                 for future in as_completed(futures):
@@ -417,6 +346,11 @@ def run_trials(
                         # on_error='collect' still returns a full report
                         # instead of leaking the exception.
                         absorb(broken_pool_records(chunk))
+                    done += len(chunk)
+                    if progress is not None:
+                        progress(done, count)
+                for chunk in unsubmitted:
+                    absorb(broken_pool_records(chunk))
                     done += len(chunk)
                     if progress is not None:
                         progress(done, count)
@@ -459,7 +393,6 @@ def run_trials(
         chunks=len(chunks),
         parallel=parallel,
         elapsed=time.perf_counter() - start,
-        vectorize=width,
         timings=timings,
         interrupted=interrupted,
     )

@@ -6,9 +6,8 @@ state, and memory.  That means one interpretation of a given input can
 stand in for *every* interpretation of that input: capture the committed
 event stream once, then replay it into any number of machine replicas
 without touching the interpreter again.  :class:`ArchTrace` is that
-captured artifact, and the batch engine's shared-trace and cached-trace
-modes (``BatchMachine.run_batch(shared_input=...)`` /
-``run_batch(trace_cache=...)``) are its consumers.
+captured artifact, and the batch engine's cached-trace mode
+(``BatchMachine.run_batch(inputs, trace_cache=...)``) is its consumer.
 
 What a trace must carry to be a faithful stand-in:
 
@@ -193,7 +192,7 @@ class TraceCache:
     architectural traces by :func:`~repro.isa.identity.trace_key` --
     program + entry + input + starting cache state -- and replays a hit
     instead of re-interpreting: the trace-once/replay-many economy for
-    input-dependent sweeps (the AES per-plaintext trials above all).
+    input-dependent sweeps (the service's ``aes_victim_signatures`` job).
 
     Every :meth:`get` re-verifies the entry against its identity: the
     stored trace's own key must match the requested address, and its
@@ -246,8 +245,3 @@ class TraceCache:
         with self._lock:
             self.stats.memory_evictions += self._entries.put(key, trace)
             self.stats.puts += 1
-
-    def clear(self) -> None:
-        """Drop every entry (stats survive)."""
-        with self._lock:
-            self._entries.clear()

@@ -11,10 +11,7 @@ attack.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
-
 from repro.cpu.machine import Machine
-from repro.replay import ReplayEngine
 from repro.utils.rng import DeterministicRng
 
 
@@ -93,25 +90,3 @@ class PhtWriter:
                 phr.set_value(rebias_value)
                 machine.observe_conditional(attacker_pc, attacker_target,
                                             not taken, thread=self.thread)
-
-    def write_checkpointed(
-        self,
-        replay: ReplayEngine,
-        pc: int,
-        phr_value: int,
-        taken: bool,
-        parent: Optional[Hashable] = None,
-    ) -> Hashable:
-        """A :meth:`write` declared as a replay-engine checkpoint.
-
-        The first write from state ``parent`` runs the full ~22-branch
-        training protocol and snapshots the poisoned machine; repeated
-        writes of the same coordinate from the same parent restore it
-        instead (one diff-based restore per re-poison).  Returns the
-        checkpoint key for :meth:`ReplayEngine.evaluate`.
-        """
-        key = ("write_pht", pc, phr_value, taken,
-               ReplayEngine.ROOT if parent is None else parent)
-        return replay.checkpoint(
-            key, lambda: self.write(pc, phr_value, taken),
-            parent=ReplayEngine.ROOT if parent is None else parent)

@@ -388,10 +388,11 @@ def _handle_aes_victim_signatures(ctx,
                                   params: Dict[str, Any]) -> Dict[str, Any]:
     """Batched per-plaintext victim signatures, trace-cache accelerated.
 
-    The service twin of :func:`repro.aes.trials.run_victim_signatures`:
-    the bare looped AES victim runs once per plaintext on a
+    The bare looped AES victim runs once per plaintext on a
     :class:`~repro.batch.BatchMachine` seeded from the worker's pristine
-    snapshot.  When the service carries a shared trace cache, plaintexts
+    snapshot, ``vectorize`` plaintexts per batch.  Each signature equals
+    a scalar ``Machine.run(..., speculate=False)`` of the victim from
+    the same snapshot.  When the service carries a shared trace cache, plaintexts
     the cache has seen (repeat sweeps, retried jobs, other workers of
     the same shard) replay their captured architectural traces instead
     of re-interpreting phase 1.

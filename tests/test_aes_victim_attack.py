@@ -54,41 +54,6 @@ class TestVictimProgram:
         assert [r.taken for r in loop_records] == [True] * 8 + [False]
 
 
-class TestVictimSignatureTrials:
-    """The batch-vectorized per-plaintext loop equals the scalar one."""
-
-    def test_batched_sweep_matches_scalar(self):
-        pytest.importorskip("numpy")
-        from repro.aes.trials import AesVictimSpec, run_victim_signatures
-
-        spec = AesVictimSpec(key=KEY)
-        scalar = run_victim_signatures(spec, 11, chunk_size=6)
-        batched = run_victim_signatures(spec, 11, chunk_size=6, vectorize=4)
-        assert batched.values == scalar.values
-        assert batched.vectorize == 4
-        # Signatures are real: ciphertexts match the reference cipher
-        # for the trial RNG's plaintexts.
-        from repro.harness import trial_rng
-        from repro.harness.runner import DEFAULT_SEED
-
-        for index, (ciphertext, branches, mispredictions,
-                    phr) in enumerate(scalar.values):
-            plaintext = trial_rng(DEFAULT_SEED, index).bytes(16)
-            assert ciphertext == ecb_encrypt(plaintext, KEY).hex()
-            assert branches > 0
-            assert 0 <= mispredictions <= branches
-            assert phr >= 0
-
-    def test_signature_independent_of_trial_order(self):
-        pytest.importorskip("numpy")
-        from repro.aes.trials import AesVictimSpec, run_victim_signatures
-
-        spec = AesVictimSpec(key=KEY)
-        wide = run_victim_signatures(spec, 6, vectorize=6)
-        narrow = run_victim_signatures(spec, 6, vectorize=2, chunk_size=3)
-        assert wide.values == narrow.values
-
-
 class TestOracle:
     def test_oracle_returns_ciphertext(self):
         machine = Machine(RAPTOR_LAKE)

@@ -3,7 +3,7 @@
 The per-backend pass (:func:`repro.fuzz.diff.check_program_backends`)
 reruns the family-generic twin arms -- reference-vs-fast engine
 equivalence, snapshot replay, snapshot wire round-trip, and the
-vectorized batch-twin / shared-trace arms -- for every registered
+vectorized batch-twin / cached-trace arms -- for every registered
 predictor family over the same generated program.  This smoke pins a
 small fixed-seed corpus clean for all families, and proves the pass is
 not vacuously green by injecting a fast-arm perturbation (scalar arms)

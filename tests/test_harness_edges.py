@@ -2,8 +2,8 @@
 
 Covers the corners ``tests/test_harness.py`` leaves open: degenerate
 chunk shapes, progress accounting, trials that legitimately return
-``None``, worker processes that die outright (``os._exit``), and the
-``vectorize``/``batch_trial`` fast path with its scalar fallback.
+``None``, and worker processes that die outright (``os._exit``) --
+mid-chunk or while chunks are still being submitted.
 
 All trials live at module level so the fork-context pool can pickle
 them by qualified name.
@@ -12,9 +12,11 @@ them by qualified name.
 from __future__ import annotations
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.harness import runner
 from repro.harness import (
     DEFAULT_SEED,
     TrialError,
@@ -39,27 +41,6 @@ def _exit_trial(context, index, rng):
     if index == 1:
         os._exit(13)
     return index
-
-
-def _batch_trial(context, indices, rngs):
-    return [(index, rng.value_bits(16))
-            for index, rng in zip(indices, rngs)]
-
-
-def _short_batch_trial(context, indices, rngs):
-    # Wrong-length result: must trigger the scalar fallback, not a
-    # silent misalignment of values to indices.
-    return [(index, rng.value_bits(16))
-            for index, rng in zip(indices, rngs)][:-1]
-
-
-def _raising_batch_trial(context, indices, rngs):
-    raise RuntimeError("batch arm unavailable")
-
-
-def _block_size_batch_trial(context, indices, rngs):
-    # Each trial reports the size of the block it was batched in.
-    return [len(indices)] * len(indices)
 
 
 def test_chunk_size_larger_than_count():
@@ -133,47 +114,62 @@ def test_worker_death_raises_under_default_mode():
     assert any(failure.index == 1 for failure in excinfo.value.failures)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_vectorized_matches_scalar(workers):
-    scalar = run_trials(_value_trial, 17, workers=workers, chunk_size=5)
-    batched = run_trials(_value_trial, 17, workers=workers, chunk_size=5,
-                         vectorize=4, batch_trial=_batch_trial)
-    assert batched.values == scalar.values
-    assert batched.vectorize == 4
-    assert scalar.vectorize == 1
+class _PoolDyingAtSecondSubmit(runner.ProcessPoolExecutor):
+    """A pool whose worker dies between the first and second submit: the
+    second and every later ``submit`` raise ``BrokenProcessPool``, as a
+    real executor does once a worker has vanished."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        if self.submits >= 2:
+            raise BrokenProcessPool("worker died during submission")
+        return super().submit(*args, **kwargs)
+
+
+def test_worker_death_during_submission_is_collected(monkeypatch):
+    """A death before the last ``submit`` records the refused chunk and
+    every chunk after it, instead of leaking ``BrokenProcessPool``."""
+    monkeypatch.setattr(runner, "ProcessPoolExecutor",
+                        _PoolDyingAtSecondSubmit)
+    calls = []
+    report = run_trials(_value_trial, 6, workers=2, chunk_size=2,
+                        on_error="collect",
+                        progress=lambda done, total: calls.append(done))
+    assert report.count == 6
+    assert report.parallel
+    # The one submitted chunk ran; the two refused ones are failures.
+    assert report.values[:2] == [_value_trial(None, index,
+                                              trial_rng(DEFAULT_SEED, index))
+                                 for index in range(2)]
+    assert [failure.index for failure in report.failures] == [2, 3, 4, 5]
+    for failure in report.failures:
+        assert "BrokenProcessPool" in failure.error
+        assert report.values[failure.index] is None
+    assert report.completed == 2
+    assert calls[-1] == 6
+
+
+def test_worker_death_during_submission_raises_under_default_mode(
+        monkeypatch):
+    monkeypatch.setattr(runner, "ProcessPoolExecutor",
+                        _PoolDyingAtSecondSubmit)
+    with pytest.raises(TrialError) as excinfo:
+        run_trials(_value_trial, 6, workers=2, chunk_size=2)
+    assert [failure.index for failure in excinfo.value.failures] == \
+        [2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_default_chunks_keep_full_vectorize_blocks(workers):
-    """The default chunk is a multiple of the batch width, so no chunk
-    boundary cuts a block below ``vectorize``."""
-    report = run_trials(_value_trial, 96, workers=workers, vectorize=48,
-                        batch_trial=_block_size_batch_trial)
-    assert report.vectorize == 48
-    assert report.values == [48] * 96
-    tail = run_trials(_value_trial, 100, workers=workers, vectorize=48,
-                      batch_trial=_block_size_batch_trial)
-    assert tail.values == [48] * 96 + [4] * 4
-
-
-def test_vectorize_requires_batch_trial():
-    with pytest.raises(ValueError, match="batch_trial"):
-        run_trials(_value_trial, 4, vectorize=2)
-    with pytest.raises(ValueError, match="vectorize"):
-        run_trials(_value_trial, 4, vectorize=0, batch_trial=_batch_trial)
-
-
-def test_batch_fallback_on_raise():
-    report = run_trials(_value_trial, 9, vectorize=4,
-                        batch_trial=_raising_batch_trial)
-    scalar = run_trials(_value_trial, 9)
-    assert report.values == scalar.values
-    assert report.failures == []
-
-
-def test_batch_fallback_on_wrong_length():
-    report = run_trials(_value_trial, 9, vectorize=3,
-                        batch_trial=_short_batch_trial)
-    scalar = run_trials(_value_trial, 9)
-    assert report.values == scalar.values
-    assert report.failures == []
+def test_default_chunks_aim_at_four_per_worker(workers):
+    """The default chunk size splits the trials into ~4 chunks per
+    worker, and chunking never changes the values."""
+    report = run_trials(_value_trial, 96, workers=workers)
+    assert report.chunks == 4 * workers
+    assert report.values == run_trials(_value_trial, 96,
+                                       chunk_size=96).values
+    tail = run_trials(_value_trial, 100, workers=workers)
+    assert tail.chunks == 4 * workers

@@ -110,7 +110,6 @@ def test_no_production_module_imports_the_fuzz_harness():
 
 
 def _twin_knob_signatures():
-    from repro.aes.trials import AesVictimSpec
     from repro.aes.victim import AesVictim
     from repro.cpu.machine import Machine
     from repro.jpeg.recovery import ImageRecoveryAttack
@@ -131,9 +130,8 @@ def _twin_knob_signatures():
     }
     names = {label: set(inspect.signature(target).parameters)
              for label, target in callables.items()}
-    for cls in (AesVictimSpec, PathSearch):
-        names[cls.__name__] = {field.name
-                               for field in dataclasses.fields(cls)}
+    names["PathSearch"] = {field.name
+                           for field in dataclasses.fields(PathSearch)}
     return names
 
 
@@ -153,7 +151,7 @@ def _job_parameter_names():
 
 def test_no_production_signature_selects_a_twin():
     signatures = _twin_knob_signatures()
-    assert len(signatures) == 9
+    assert len(signatures) == 8
     knobs = {label: sorted(names & TWIN_KNOBS)
              for label, names in signatures.items() if names & TWIN_KNOBS}
     assert knobs == {}

@@ -177,6 +177,13 @@ class TestJobKinds:
         assert outcome.value["recovered_branches"] > 0
         assert numpy.asarray(outcome.value["complexity_map"]).shape == (1, 1)
 
+    def test_aes_key_recovery(self, client):
+        key = bytes(range(0x10, 0x20))
+        handle = client.submit("aes_key_recovery", key=key)
+        outcome = client.gather([handle], on_error="raise")[0]
+        assert outcome.value["match"] is True
+        assert outcome.value["recovered_key"] == key
+
     def test_missing_required_parameter_fails(self, client):
         handle = client.submit("read_phr")  # no victim
         outcome = client.gather([handle])[0]
@@ -440,6 +447,49 @@ class TestStoreIntegration:
                          store=store).leak_checkpoint(2)
         assert store.stats.hits == 0
         assert store.stats.puts == 2
+
+    def test_aes_victim_signatures_replay_from_the_trace_cache(self):
+        """The batched signature job equals scalar victim runs, and a
+        repeat of it is served from the trace cache."""
+        from repro.aes.core import encrypt_block
+        from repro.aes.victim import AesVictim
+        from repro.isa.memory import Memory
+        from repro.service import TraceCache
+
+        key = bytes(range(16))
+        plaintexts = [bytes([seed] * 16) for seed in range(6)]
+        victim = AesVictim(key)
+        entry = victim.program.address_of("aes_encrypt")
+        expected = []
+        for plaintext in plaintexts:
+            memory = Memory()
+            victim.provision(memory, plaintext)
+            result = Machine(SKYLAKE).run(victim.program, memory=memory,
+                                          entry=entry, speculate=False,
+                                          trace="none")
+            ciphertext = victim.read_ciphertext(memory)
+            assert ciphertext == encrypt_block(plaintext, victim.round_keys)
+            expected.append([ciphertext.hex(),
+                             result.perf.conditional_branches,
+                             result.perf.conditional_mispredictions])
+
+        cache = TraceCache()
+        with AttackService(store=SnapshotStore(), workers_per_profile=1,
+                           trace_cache=cache) as service:
+            client = ServiceClient(service)
+            # Width 4 over six plaintexts: one full batch, one of two.
+            cold, warm = [
+                client.gather([client.submit(
+                    "aes_victim_signatures", key=key,
+                    plaintexts=plaintexts, vectorize=4)],
+                    on_error="raise")[0]
+                for __ in range(2)]
+        assert cold.value["signatures"] == expected
+        assert warm.value["signatures"] == expected
+        assert cold.value["trace_cache"]["memory_hits"] == 0
+        assert cold.value["trace_cache"]["puts"] == len(plaintexts)
+        assert warm.value["trace_cache"]["memory_hits"] == len(plaintexts)
+        assert warm.value["trace_cache"]["divergences"] == 0
 
     def test_image_recovery_warm_path(self):
         from repro.jpeg.codec import JpegCodec

@@ -2,8 +2,6 @@
 
 Pins the trace-once/replay-many contract of ARCHITECTURE.md §12:
 
-* ``run_batch(shared_input=...)`` equals N independent scalar runs of
-  the same input, bit for bit, while interpreting only once;
 * ``run_batch(trace_cache=...)`` warm hits replay to the identical
   results (signatures, final state, memory bytes) the cold capture
   produced;
@@ -74,44 +72,6 @@ def _assert_results_equal(got, want, context: str) -> None:
     assert got.phr_value == want.phr_value, f"{context}: phr"
     assert got.execution.instructions == want.execution.instructions, context
     assert got.state.regs == want.state.regs, f"{context}: registers"
-
-
-# ----------------------------------------------------------------------
-# shared-trace mode
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
-def test_shared_input_matches_scalar_runs(config):
-    """shared_input replays replica 0's capture into every replica."""
-    n = 4
-    program = _branchy_program()
-    batch = BatchMachine(n, config)
-    results = batch.run_batch(program, shared_input=_provision(11),
-                              trace="full")
-    assert len(results) == n
-    for i in range(n):
-        scalar = Machine(config)
-        want = scalar.run(program, memory=_provision(11), speculate=False,
-                          trace="full")
-        _assert_results_equal(results[i], want, f"replica {i}")
-        batch_snap = batch.extract(i)
-        scalar_snap = scalar.snapshot()
-        assert batch_snap.cbp == scalar_snap.cbp, f"replica {i}: cbp"
-        assert batch_snap.cache == scalar_snap.cache, f"replica {i}: cache"
-        assert batch_snap.btb == scalar_snap.btb, f"replica {i}: btb"
-    # Each replica owns its final state: mutating one must not leak.
-    results[0].state.regs["rbx"] = 0xDEAD
-    assert results[1].state.regs["rbx"] != 0xDEAD
-
-
-def test_shared_input_excludes_inputs_and_cache():
-    batch = BatchMachine(2)
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        batch.run_batch(_branchy_program(), [Memory(), Memory()],
-                        shared_input=Memory())
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        batch.run_batch(_branchy_program(), shared_input=Memory(),
-                        trace_cache=TraceCache())
 
 
 # ----------------------------------------------------------------------
