@@ -49,7 +49,7 @@ VICTIM_ITERATIONS = 2000 if BENCH_QUICK else 4000
 REQUESTS = 12 if BENCH_QUICK else 48
 #: Doublets each read_phr job recovers.
 READ_COUNT = 2
-#: Worker threads per profile shard.
+#: Worker threads per profile: the executor's threads share one job queue.
 WORKERS = 2
 
 #: The throughput gate: warm store over cold baseline.

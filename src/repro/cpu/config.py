@@ -33,7 +33,7 @@ class MachineConfig:
     #: default; ``m1-phr`` and ``gshare-tournament`` select the other
     #: built-in families.  Every profile digest and snapshot artifact
     #: carries this id, so configs differing only here never share
-    #: checkpoints or worker shards.
+    #: checkpoints or service workers.
     predictor_model: str = "intel-cbp"
     #: Taken branches the PHR records (doublets).
     phr_capacity: int = 194

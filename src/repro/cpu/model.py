@@ -79,7 +79,7 @@ class PredictorModel(ABC):
 
     Instances are per-machine and hold only the config; all mutable
     state lives in the components they build, which keeps a model safe
-    to rebuild from a config anywhere (worker forks, service shards,
+    to rebuild from a config anywhere (worker forks, service workers,
     batch replicas).
     """
 

@@ -11,9 +11,9 @@ Three pieces, stacked:
   read, Pathfinder trace recovery, Read/Write_PHT, AES key recovery,
   image recovery), and structured :class:`JobResult` /
   :class:`JobFailure` outcomes.
-* :mod:`repro.service.pool` -- the profile-sharded worker pool and the
-  async :class:`ServiceClient` API (``submit``/``gather`` with per-job
-  timeouts and retry budgets, graceful drain on shutdown).
+* :mod:`repro.service.pool` -- one thread pool per machine profile and
+  the async :class:`ServiceClient` API (``submit``/``gather`` with
+  per-job timeouts and retry budgets, graceful drain on shutdown).
 
 What the service shares with the layers below it lives below it, so no
 attack module imports this package: the content digests in

@@ -2,11 +2,12 @@
 
 A *job* is one self-contained attack request: a kind (which primitive or
 end-to-end attack to run), a machine profile to run it against, and a
-kind-specific parameter mapping.  Jobs are executed by the
-profile-sharded worker pool in :mod:`repro.service.pool`; each worker
-owns one long-lived :class:`~repro.cpu.machine.Machine` per profile and
-restores it to a pristine snapshot between jobs, so job handlers always
-see a fresh machine while the pool keeps the construction cost warm.
+kind-specific parameter mapping.  Jobs are executed by
+:mod:`repro.service.pool`, on one thread pool per machine profile; each
+worker thread owns one long-lived :class:`~repro.cpu.machine.Machine`
+of its profile and restores it to a pristine snapshot between jobs, so
+job handlers always see a fresh machine while the pool keeps the
+construction cost warm.
 
 Every handler threads the pool's shared
 :class:`~repro.service.store.SnapshotStore` into the layer below it
@@ -46,10 +47,10 @@ class ServiceError(RuntimeError):
 class MachineSpec:
     """A machine profile request: which simulated CPU to attack.
 
-    Jobs carrying equal specs land on the same worker shard, sharing
-    warm machines and store-served checkpoints; the shard key is the
-    full-config digest, so two specs differing in any predictor
-    parameter never share state.
+    Jobs carrying equal specs run on the same profile's worker
+    threads, sharing warm machines and store-served checkpoints; the
+    profile key is the full-config digest, so two specs differing in
+    any predictor parameter never share state.
     """
 
     config: MachineConfig = SKYLAKE
@@ -57,7 +58,7 @@ class MachineSpec:
     #: ``None`` keeps ``config.predictor_model``.  Lets a client sweep
     #: the backend axis without restating the whole machine config; the
     #: override participates in the digest through the effective config,
-    #: so per-family jobs shard and checkpoint separately.
+    #: so per-family jobs run and checkpoint separately.
     predictor_model: Optional[str] = None
 
     def effective_config(self) -> MachineConfig:
@@ -392,10 +393,10 @@ def _handle_aes_victim_signatures(ctx,
     :class:`~repro.batch.BatchMachine` seeded from the worker's pristine
     snapshot, ``vectorize`` plaintexts per batch.  Each signature equals
     a scalar ``Machine.run(..., speculate=False)`` of the victim from
-    the same snapshot.  When the service carries a shared trace cache, plaintexts
-    the cache has seen (repeat sweeps, retried jobs, other workers of
-    the same shard) replay their captured architectural traces instead
-    of re-interpreting phase 1.
+    the same snapshot.  When the service carries a shared trace cache,
+    plaintexts the cache has seen (repeat sweeps, retried jobs, other
+    workers of the same profile) replay their captured architectural
+    traces instead of re-interpreting phase 1.
     """
     from repro.aes.victim import AesVictim
     from repro.batch import BatchMachine, supports_config
@@ -409,19 +410,17 @@ def _handle_aes_victim_signatures(ctx,
     if not isinstance(width, int) or isinstance(width, bool) or width < 1:
         raise ServiceError(f"vectorize must be a positive integer, "
                            f"got {width!r}")
-    machine = ctx.fresh_machine()
-    if not supports_config(machine.config):
+    config = ctx.machine.config
+    if not supports_config(config):
         raise ServiceError(
             "machine profile is unsupported by the batch engine")
     victim = AesVictim(key)
     entry = victim.program.address_of("aes_encrypt")
-    pristine = machine.snapshot()
-    cache = getattr(ctx, "trace_cache", None)
+    cache = ctx.trace_cache
     signatures = []
     for low in range(0, len(plaintexts), width):
         block = plaintexts[low:low + width]
-        batch = BatchMachine.from_snapshot(machine.config, pristine,
-                                           len(block))
+        batch = BatchMachine.from_snapshot(config, ctx.pristine, len(block))
         memories = []
         for plaintext in block:
             memory = Memory()

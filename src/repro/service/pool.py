@@ -1,40 +1,40 @@
-"""Profile-sharded worker pool + async job API (ARCHITECTURE.md §11).
+"""Per-profile worker pool + async job API (ARCHITECTURE.md §11).
 
-:class:`AttackService` owns a set of *shards*, one per distinct machine
-profile (full-config digest).  Each shard runs ``workers_per_profile``
-threads; each thread owns one long-lived :class:`~repro.cpu.machine.
-Machine` built from the shard's :class:`~repro.service.jobs.MachineSpec`
-and restored to a pristine snapshot between jobs.  All workers share
-the service's :class:`~repro.service.store.SnapshotStore`, so the
-expensive prefix work one job pays for (victim profiling runs, primed
-states, AES leak preparation) is served to every later job against the
-same (profile, victim) -- across workers, shards, and service restarts.
+:class:`AttackService` runs one :class:`~concurrent.futures.
+ThreadPoolExecutor` per distinct machine profile (full-config digest),
+each with ``workers_per_profile`` threads.  Each thread owns one
+long-lived :class:`~repro.cpu.machine.Machine` built from the profile's
+:class:`~repro.service.jobs.MachineSpec` and restored to a pristine
+snapshot between jobs.  All workers share the service's
+:class:`~repro.service.store.SnapshotStore`, so the expensive prefix
+work one job pays for (victim profiling runs, primed states, AES leak
+preparation) is served to every later job against the same (profile,
+victim) -- across workers, profiles, and service restarts.
 
-Threads (not processes) are the right worker substrate here: the jobs
-are pure-Python simulation whose hot loops hold the GIL anyway, and a
-thread can hand live ``MachineSnapshot`` objects to the in-memory store
-tier without serialization.  Cross-process scaling belongs to the trial
-harness (:mod:`repro.harness.runner`), which the service does not
-replace -- it serves *interactive, heterogeneous* requests, not bulk
-homogeneous trials.
-
-Dispatch is queue-depth aware: within a shard every worker has its own
-queue (so a worker's warm state follows its backlog), and a new job
-goes to the worker with the fewest queued + in-flight jobs.
+The workers are threads, not the trial harness's fork workers
+(:mod:`repro.harness.runner`): the store's memory tier and the trace
+cache hold live objects that every worker reads and publishes to, which
+a forked worker could do only through serialization.  A profile's
+threads take jobs from the executor's one queue, so a job never waits
+behind a busy worker while another sits idle.
 
 Lifecycle: ``submit`` returns a :class:`JobHandle` immediately;
 ``gather`` (or ``handle.result()``) blocks with deadline handling;
 ``shutdown(drain=True)`` finishes queued work then stops, while
-``drain=False`` cancels queued jobs (completed results are kept) --
-the service twin of the trial harness's KeyboardInterrupt drain.
+``drain=False`` cancels queued jobs (completed results are kept).
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 import time
+from concurrent.futures import (
+    Future,
+    InvalidStateError,
+    ThreadPoolExecutor,
+    TimeoutError as FutureTimeoutError,
+)
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.service.jobs import (
@@ -47,8 +47,8 @@ from repro.service.jobs import (
     format_failure,
 )
 
-#: Queue sentinel telling a worker thread to exit.
-_STOP = object()
+#: Most machine profiles (executors) one service runs.
+MAX_PROFILES = 8
 
 Outcome = Union[JobResult, JobFailure]
 
@@ -71,14 +71,13 @@ class WorkerContext:
         #: flows replay captured traces instead of re-interpreting.
         self.trace_cache = trace_cache
         self.machine = spec.build()
-        self._pristine = self.machine.snapshot()
-        #: Jobs this worker completed (results + failures), for the
-        #: service's load accounting.
-        self.jobs_run = 0
+        #: The machine's construction snapshot: :meth:`fresh_machine`
+        #: restores it, and batched handlers seed their replicas from it.
+        self.pristine = self.machine.snapshot()
 
     def fresh_machine(self):
         """The worker's machine, restored to its pristine state."""
-        self.machine.restore(self._pristine)
+        self.machine.restore(self.pristine)
         return self.machine
 
 
@@ -86,9 +85,10 @@ class JobHandle:
     """Asynchronous handle to one submitted job.
 
     State machine: ``pending`` (queued) -> ``running`` (claimed by a
-    worker) -> ``done`` (outcome set).  The first transition to ``done``
-    wins -- a worker finishing after the deadline already expired the
-    handle finds it done and discards its late outcome, so callers
+    worker) -> ``done`` (outcome set), kept by the handle's
+    :class:`~concurrent.futures.Future`.  The first outcome set wins --
+    a worker finishing after the deadline already expired the handle
+    finds the future done and its late outcome is discarded, so callers
     never observe a result mutating.
     """
 
@@ -98,51 +98,38 @@ class JobHandle:
         self.submitted_at = time.monotonic()
         self.deadline = (None if job.timeout is None
                          else self.submitted_at + job.timeout)
-        self._lock = threading.Lock()
-        self._event = threading.Event()
-        self._outcome: Optional[Outcome] = None
-        self._state = "pending"
+        self._future: "Future[Outcome]" = Future()
 
     # -- worker side ----------------------------------------------------
 
     def _claim(self) -> bool:
-        """Transition pending -> running; False if expired/cancelled.
+        """Transition pending -> running; False if expired.
 
         A job that sat queued past its deadline fails fast here -- the
         worker never runs it, which is what keeps one slow job from
         making every queued job behind it blow its own budget too.
         """
-        with self._lock:
-            if self._outcome is not None:
-                return False
-            if (self.deadline is not None
-                    and time.monotonic() > self.deadline):
-                self._outcome = JobFailure(
-                    job_id=self.job_id,
-                    kind=self.job.kind,
-                    tag=self.job.tag,
-                    error=(f"TimeoutError: expired after "
-                           f"{self.job.timeout:.3f}s before any worker "
-                           f"claimed it"),
-                )
-                self._event.set()
-                return False
-            self._state = "running"
-            return True
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            self._fail(f"TimeoutError: expired after {self.job.timeout:.3f}s "
+                       f"before any worker claimed it")
+            return False
+        try:
+            return self._future.set_running_or_notify_cancel()
+        except RuntimeError:
+            # result() expired the handle between the check and here.
+            return False
 
-    def _finish(self, outcome: Outcome) -> bool:
+    def _settle(self, outcome: Outcome) -> bool:
         """Record the outcome; False (discarded) if already done."""
-        with self._lock:
-            if self._outcome is not None:
-                return False
-            self._outcome = outcome
-            self._state = "done"
-            self._event.set()
-            return True
+        try:
+            self._future.set_result(outcome)
+        except InvalidStateError:
+            return False
+        return True
 
-    def _expire(self, reason: str) -> bool:
-        """Force a failure outcome (deadline/shutdown); False if done."""
-        return self._finish(JobFailure(
+    def _fail(self, reason: str) -> None:
+        """Force a failure outcome (deadline/shutdown) unless done."""
+        self._settle(JobFailure(
             job_id=self.job_id,
             kind=self.job.kind,
             tag=self.job.tag,
@@ -152,12 +139,13 @@ class JobHandle:
     # -- caller side ----------------------------------------------------
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._future.done()
 
     @property
     def state(self) -> str:
-        with self._lock:
-            return "done" if self._outcome is not None else self._state
+        if self._future.done():
+            return "done"
+        return "running" if self._future.running() else "pending"
 
     def result(self, timeout: Optional[float] = None) -> Outcome:
         """Block until the job finishes, expires, or ``timeout`` passes.
@@ -175,61 +163,21 @@ class JobHandle:
             waits = [w for w in (self.deadline, caller_deadline)
                      if w is not None]
             remaining = min(waits) - time.monotonic() if waits else None
-            if self._event.wait(timeout=remaining):
-                assert self._outcome is not None
-                return self._outcome
+            try:
+                return self._future.result(timeout=remaining)
+            except FutureTimeoutError:
+                pass
             now = time.monotonic()
             if self.deadline is not None and now >= self.deadline:
-                self._expire(
+                self._fail(
                     f"TimeoutError: still {self.state} "
                     f"{now - self.submitted_at:.3f}s after submission "
                     f"(timeout {self.job.timeout:.3f}s)")
-                assert self._outcome is not None
-                return self._outcome
+                return self._future.result()
             if caller_deadline is not None and now >= caller_deadline:
                 raise ServiceError(
                     f"job {self.job_id} ({self.job.kind}) still "
                     f"{self.state} after the {timeout:.3f}s gather wait")
-
-
-class _WorkerSlot:
-    """One worker thread with its private queue (shard-internal)."""
-
-    def __init__(self, context: WorkerContext) -> None:
-        self.context = context
-        self.queue: "queue.Queue" = queue.Queue()
-        self.busy = False
-        self.thread: Optional[threading.Thread] = None
-
-    def depth(self) -> int:
-        return self.queue.qsize() + (1 if self.busy else 0)
-
-
-class _Shard:
-    """All workers serving one machine profile."""
-
-    def __init__(self, service: "AttackService", spec: MachineSpec,
-                 digest: str, workers: int) -> None:
-        self.spec = spec
-        self.digest = digest
-        self.slots: List[_WorkerSlot] = []
-        for index in range(workers):
-            context = WorkerContext(
-                name=f"{digest[:8]}/w{index}", spec=spec,
-                store=service.store, trace_cache=service.trace_cache)
-            slot = _WorkerSlot(context)
-            slot.thread = threading.Thread(
-                target=service._worker_loop, args=(slot,),
-                name=f"repro-service-{context.name}", daemon=True)
-            self.slots.append(slot)
-        for slot in self.slots:
-            slot.thread.start()
-
-    def least_loaded(self) -> _WorkerSlot:
-        return min(self.slots, key=_WorkerSlot.depth)
-
-    def depth(self) -> int:
-        return sum(slot.depth() for slot in self.slots)
 
 
 class AttackService:
@@ -237,29 +185,31 @@ class AttackService:
 
     ``store`` is shared by every worker (pass ``None`` to run without
     cross-job checkpoint reuse -- the cold baseline the load benchmark
-    measures against).  Shards are created on first use per profile, up
-    to ``max_profiles``.
+    measures against).  A profile's executor of ``workers_per_profile``
+    threads starts on its first job, up to :data:`MAX_PROFILES`
+    profiles.  The executor threads are not daemon threads: a service
+    that is never shut down still finishes its queued jobs before the
+    interpreter exits.
     """
 
     def __init__(self, store=None, workers_per_profile: int = 2,
-                 max_profiles: int = 8, trace_cache=None) -> None:
+                 trace_cache=None) -> None:
         if workers_per_profile < 1:
             raise ServiceError(
                 f"workers_per_profile must be >= 1, "
                 f"got {workers_per_profile}")
-        if max_profiles < 1:
-            raise ServiceError(f"max_profiles must be >= 1, "
-                               f"got {max_profiles}")
         self.store = store
         #: Shared architectural trace cache handed to every worker
         #: context; GIL-bound thread workers can share it without locks.
         self.trace_cache = trace_cache
         self.workers_per_profile = workers_per_profile
-        self.max_profiles = max_profiles
-        self._shards: Dict[str, _Shard] = {}
+        self._executors: Dict[str, ThreadPoolExecutor] = {}
+        #: ``.context``: the calling executor thread's WorkerContext.
+        self._worker = threading.local()
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._closed = False
+        self._cancel_pending = False
         self.jobs_submitted = 0
         self.jobs_completed = 0
         self.jobs_failed = 0
@@ -267,24 +217,41 @@ class AttackService:
     # -- submission -----------------------------------------------------
 
     def submit(self, job: Job) -> JobHandle:
-        """Queue ``job`` on its profile's least-loaded worker."""
+        """Queue ``job`` on its profile's executor."""
         with self._lock:
             if self._closed:
                 raise ServiceError("service is shut down")
             digest = job.machine.digest()
-            shard = self._shards.get(digest)
-            if shard is None:
-                if len(self._shards) >= self.max_profiles:
-                    raise ServiceError(
-                        f"profile limit reached ({self.max_profiles} "
-                        f"shards); shut down or raise max_profiles")
-                shard = _Shard(self, job.machine, digest,
-                               self.workers_per_profile)
-                self._shards[digest] = shard
+            executor = self._executors.get(digest)
+            if executor is None:
+                executor = self._start_profile(job.machine, digest)
             handle = JobHandle(f"job-{next(self._ids):05d}", job)
             self.jobs_submitted += 1
-            shard.least_loaded().queue.put(handle)
+            executor.submit(self._serve, handle)
         return handle
+
+    def _start_profile(self, spec: MachineSpec,
+                       digest: str) -> ThreadPoolExecutor:
+        if len(self._executors) >= MAX_PROFILES:
+            raise ServiceError(
+                f"profile limit reached ({MAX_PROFILES} profiles); "
+                f"shut the service down to start others")
+        # Built here, in the caller: a profile that cannot be built
+        # raises at submit and leaves no executor behind.
+        contexts = [WorkerContext(name=f"{digest[:8]}/w{index}", spec=spec,
+                                  store=self.store,
+                                  trace_cache=self.trace_cache)
+                    for index in range(self.workers_per_profile)]
+        executor = ThreadPoolExecutor(
+            max_workers=self.workers_per_profile,
+            thread_name_prefix=f"repro-service-{digest[:8]}",
+            initializer=self._adopt, initargs=(contexts,))
+        self._executors[digest] = executor
+        return executor
+
+    def _adopt(self, contexts: List[WorkerContext]) -> None:
+        """Executor initializer: bind this thread to one context."""
+        self._worker.context = contexts.pop(0)
 
     def gather(self, handles: Sequence[JobHandle],
                on_error: str = "collect",
@@ -312,39 +279,32 @@ class AttackService:
             outcomes.append(outcome)
         return outcomes
 
-    # -- worker loop ----------------------------------------------------
+    # -- job runner -----------------------------------------------------
 
-    def _worker_loop(self, slot: _WorkerSlot) -> None:
-        context = slot.context
-        while True:
-            item = slot.queue.get()
-            if item is _STOP:
-                break
-            handle: JobHandle = item
-            if not handle._claim():
-                with self._lock:
-                    self.jobs_failed += 1  # expired in queue
-                continue
-            slot.busy = True
-            try:
-                outcome = self._run_job(context, handle)
-            finally:
-                slot.busy = False
-            delivered = handle._finish(outcome)
-            context.jobs_run += 1
-            with self._lock:
-                if not delivered:
-                    # Late finish: the handle already timed out; its
-                    # recorded outcome is the failure, ours is dropped.
-                    self.jobs_failed += 1
-                elif isinstance(outcome, JobFailure):
-                    self.jobs_failed += 1
-                else:
-                    self.jobs_completed += 1
+    def _serve(self, handle: JobHandle) -> None:
+        """Run one job on the calling executor thread; count its end."""
+        if self._cancel_pending:
+            handle._fail("CancelledError: pending job cancelled by "
+                         "service shutdown")
+            completed = False
+        elif not handle._claim():
+            completed = False  # expired in the queue
+        else:
+            outcome = self._run_job(self._worker.context, handle)
+            # A late outcome (the handle already timed out) is dropped;
+            # the recorded outcome is the timeout failure.
+            completed = (handle._settle(outcome)
+                         and isinstance(outcome, JobResult))
+        with self._lock:
+            if completed:
+                self.jobs_completed += 1
+            else:
+                self.jobs_failed += 1
 
     def _run_job(self, context: WorkerContext,
                  handle: JobHandle) -> Outcome:
         job = handle.job
+        # Looked up per job: perfbench's tracer patches HANDLERS.
         handler = HANDLERS[job.kind]
         started = time.perf_counter()
         attempts = 0
@@ -385,25 +345,10 @@ class AttackService:
             if self._closed:
                 return
             self._closed = True
-            shards = list(self._shards.values())
-        for shard in shards:
-            for slot in shard.slots:
-                if not drain:
-                    while True:
-                        try:
-                            item = slot.queue.get_nowait()
-                        except queue.Empty:
-                            break
-                        if item is _STOP:
-                            continue
-                        if item._expire("CancelledError: pending job "
-                                        "cancelled by service shutdown"):
-                            with self._lock:
-                                self.jobs_failed += 1
-                slot.queue.put(_STOP)
-        for shard in shards:
-            for slot in shard.slots:
-                slot.thread.join()
+            self._cancel_pending = not drain
+            executors = list(self._executors.values())
+        for executor in executors:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "AttackService":
         return self
@@ -413,12 +358,6 @@ class AttackService:
 
     # -- introspection --------------------------------------------------
 
-    def queue_depths(self) -> Dict[str, int]:
-        """Live queued + in-flight counts per profile shard."""
-        with self._lock:
-            return {digest: shard.depth()
-                    for digest, shard in self._shards.items()}
-
     def stats(self) -> Dict[str, Any]:
         """Service-level accounting (plus store stats when attached)."""
         with self._lock:
@@ -426,8 +365,8 @@ class AttackService:
                 "jobs_submitted": self.jobs_submitted,
                 "jobs_completed": self.jobs_completed,
                 "jobs_failed": self.jobs_failed,
-                "shards": len(self._shards),
-                "workers": sum(len(s.slots) for s in self._shards.values()),
+                "shards": len(self._executors),
+                "workers": len(self._executors) * self.workers_per_profile,
             }
         if self.store is not None:
             data["store"] = self.store.stats.as_dict()

@@ -6,7 +6,7 @@ same prefix checkpoints.  The store gives those checkpoints an identity
 that is *content*, not process-local object graph: a key is a
 :func:`repro.isa.identity.content_key` of the ``(profile, prefix
 program, prefix chain)`` description, so two requests -- in the same
-worker, in different shard workers, or across a service restart -- that
+worker, in different service workers, or across a service restart -- that
 would build the same state resolve to the same artifact.
 
 Two tiers:
@@ -44,6 +44,9 @@ from repro.utils.lru import CacheStats, LruCache
 
 #: Suffix of every artifact file in the spill directory.
 ARTIFACT_SUFFIX = ".ckpt"
+#: A put that crosses the disk budget evicts down to this fraction of
+#: it, so the next few puts stay under the budget without a listing.
+LOW_WATER_FRACTION = 0.75
 
 
 class StoreError(ValueError):
@@ -53,7 +56,7 @@ class StoreError(ValueError):
 class SnapshotStore:
     """Two-tier content-addressed cache of serialized machine snapshots.
 
-    Thread-safe: the service's shard workers share one store, so every
+    Thread-safe: the service's worker threads share one store, so every
     tier operation runs under one lock (snapshot (de)serialization is
     pure CPU work on immutable values and stays outside it where
     possible).
@@ -302,14 +305,15 @@ class SnapshotStore:
 
     def _trim_disk(self, protect: Optional[str] = None,
                    written: int = 0) -> None:
-        """Count ``written`` new bytes; evict oldest artifacts until the
-        byte budget holds.
+        """Count ``written`` new bytes; past the byte budget, evict oldest
+        artifacts down to :data:`LOW_WATER_FRACTION` of it.
 
         O(1) while the running total stays under the budget; only a put
         that crosses it lists the directory, and the total is re-seeded
-        from that listing.  The just-written key is protected so one
-        oversized workload cannot evict its own checkpoint in a
-        write/evict churn.
+        from that listing.  Evicting below the budget spreads that
+        listing over the puts that refill the gap.  The just-written key
+        is protected so one oversized workload cannot evict its own
+        checkpoint in a write/evict churn.
         """
         with self._lock:
             self._disk_total += written
@@ -317,8 +321,9 @@ class SnapshotStore:
                 return
             listing = self._artifact_listing()
             total = sum(size for __, size, __ in listing)
+            low_water = self.disk_budget_bytes * LOW_WATER_FRACTION
             for key, size, __ in sorted(listing, key=lambda item: item[2]):
-                if total <= self.disk_budget_bytes:
+                if total <= low_water:
                     break
                 if key == protect:
                     continue

@@ -10,6 +10,8 @@ to cold ones.
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import numpy
@@ -17,6 +19,8 @@ import pytest
 
 from repro.cpu import Machine, RAPTOR_LAKE, SKYLAKE
 from repro.cpu.config import MachineConfig
+from repro.cpu.model import UnknownPredictorModelError
+from repro.service import pool
 from repro.service import (
     AttackService,
     HANDLERS,
@@ -364,11 +368,10 @@ class TestSharding:
                           victim=FAST_VICTIM, count=1),
         ], on_error="raise")
         assert service.stats()["shards"] == 2
-        assert set(service.queue_depths()) == {
-            MachineSpec(SKYLAKE).digest(), MachineSpec(RAPTOR_LAKE).digest()}
 
-    def test_max_profiles_guard(self):
-        with AttackService(max_profiles=1) as service:
+    def test_max_profiles_guard(self, monkeypatch):
+        monkeypatch.setattr(pool, "MAX_PROFILES", 1)
+        with AttackService() as service:
             client = ServiceClient(service)
             client.gather([client.submit(
                 "read_phr", machine=MachineSpec(SKYLAKE),
@@ -380,8 +383,68 @@ class TestSharding:
     def test_worker_configuration_validated(self):
         with pytest.raises(ServiceError):
             AttackService(workers_per_profile=0)
-        with pytest.raises(ServiceError):
-            AttackService(max_profiles=0)
+
+    def test_idle_worker_takes_the_next_job(self, monkeypatch):
+        """A job queued behind a stuck worker runs on the idle one."""
+        gates = {"a": threading.Event(), "b": threading.Event(),
+                 "fast": threading.Event()}
+        gates["fast"].set()
+
+        def gated(ctx, params):
+            assert gates[params["gate"]].wait(timeout=30)
+            return {"gate": params["gate"]}
+
+        monkeypatch.setitem(HANDLERS, "gated", gated)
+        with AttackService(workers_per_profile=2) as service:
+            client = ServiceClient(service)
+            try:
+                a = client.submit("gated", gate="a")
+                b = client.submit("gated", gate="b")
+                fast = client.submit("gated", gate="fast")
+                gates["b"].set()
+                assert isinstance(fast.result(timeout=2), JobResult)
+                assert isinstance(b.result(timeout=2), JobResult)
+                assert not a.done()
+            finally:
+                for gate in gates.values():
+                    gate.set()
+        assert isinstance(a.result(), JobResult)
+
+    def test_unbuildable_profile_raises_at_submit(self, client, service):
+        unknown = MachineSpec(predictor_model="no-such-family")
+        with pytest.raises(UnknownPredictorModelError):
+            client.submit("read_phr", machine=unknown, victim=FAST_VICTIM,
+                          count=1)
+        assert service.stats()["shards"] == 0
+        outcome = client.gather([client.submit(
+            "read_phr", victim=FAST_VICTIM, count=1)])[0]
+        assert isinstance(outcome, JobResult)
+        assert service.stats()["shards"] == 1
+
+    def test_counts_hold_under_thread_contention(self, monkeypatch):
+        """More workers than cores, a tiny switch interval: every job
+        is settled once and counted once."""
+        def instant(ctx, params):
+            if params["index"] % 3 == 0:
+                raise ValueError("every third job fails")
+            return params["index"]
+
+        monkeypatch.setitem(HANDLERS, "instant", instant)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with AttackService(workers_per_profile=4) as service:
+                client = ServiceClient(service)
+                handles = [client.submit("instant", index=index)
+                           for index in range(300)]
+                outcomes = client.gather(handles, timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [o.ok for o in outcomes] == [i % 3 != 0 for i in range(300)]
+        assert all(o.value == i for i, o in enumerate(outcomes) if o.ok)
+        stats = service.stats()
+        assert (stats["jobs_submitted"], stats["jobs_completed"],
+                stats["jobs_failed"]) == (300, 200, 100)
 
 
 # ----------------------------------------------------------------------

@@ -298,6 +298,37 @@ class TestDiskTier:
         assert listings == []  # seeded at construction; each put is O(1)
         assert store._disk_total == store.disk_bytes()
 
+    def test_puts_at_the_budget_evict_to_the_low_water_mark(self, tmp_path,
+                                                           monkeypatch):
+        snapshot = _snapshot()
+        probe = SnapshotStore(directory=tmp_path)
+        probe.put(_key("probe"), snapshot)
+        artifact_size = probe.disk_bytes()
+        probe.clear(memory=True, disk=True)
+        store = SnapshotStore(directory=tmp_path,
+                              disk_budget_bytes=20 * artifact_size)
+        listings = []
+        listing = store._artifact_listing
+
+        def counted():
+            listings.append(1)
+            return listing()
+
+        monkeypatch.setattr(store, "_artifact_listing", counted)
+        for index in range(100):
+            key = _key(f"k{index}")
+            store.put(key, snapshot)
+            assert (tmp_path / f"{key}{ARTIFACT_SUFFIX}").exists()
+            # Read through the unpatched listing: disk_bytes() would
+            # count as a listing of the store's own.
+            on_disk = sum(size for __, size, __ in listing())
+            assert on_disk <= store.disk_budget_bytes
+        # Evicting one artifact per crossing listed the directory on
+        # each of the last 80 puts; down to 3/4 of the budget, every
+        # crossing buys five puts without a listing.
+        assert len(listings) <= 20
+        assert store.stats.spills == 100
+
     def test_concurrent_puts_keep_the_byte_total(self, tmp_path):
         store = SnapshotStore(directory=tmp_path)
         snapshot = _snapshot()
@@ -335,10 +366,12 @@ class TestDiskTier:
             path = tmp_path / f"{_key(tag)}{ARTIFACT_SUFFIX}"
             os.utime(path, (1000 + index, 1000 + index))
         # ``mine`` counted three of its own artifacts, crossed the
-        # budget, and re-listed: the listing held ``other``'s too.
+        # budget, and re-listed: the listing held ``other``'s too, so
+        # eviction down to the low-water mark (1.875 artifacts) took
+        # ``other``'s ``b`` along with ``mine``'s older two.
         remaining = {p.name[:-len(ARTIFACT_SUFFIX)]
                      for p in tmp_path.glob(f"*{ARTIFACT_SUFFIX}")}
-        assert remaining == {_key("c"), _key("d")}
+        assert remaining == {_key("d")}
         assert mine.disk_bytes() <= budget
 
     def test_clear_disk_removes_artifacts(self, tmp_path):
