@@ -15,10 +15,10 @@ a branch-heavy loop victim through ``PhrReader`` (``checkpoint``: run
 the victim once, restore a machine checkpoint per guess) versus
 ``repro.fuzz.twins.NaivePhrReader`` (``none``: re-run the whole prefix,
 victim and all, per guess).
-The two must agree bit for bit; quick mode asserts the >=3x floor.
+The two must agree bit for bit; quick mode asserts the >=3x floor.  The
+speedup is the median of paired rounds (``conftest.paired_speedup``),
+with each arm's median and IQR in seconds recorded next to it.
 """
-
-import time
 
 from repro.cpu import Machine, PREDICTOR_LAB_MACHINES, RAPTOR_LAKE
 from repro.fuzz.twins import NaivePhrReader
@@ -27,7 +27,7 @@ from repro.primitives import PhrMacros, PhrReader, VictimHandle
 from repro.primitives.matrix import measure_read_primitive
 from repro.utils.rng import DeterministicRng
 
-from conftest import BENCH_QUICK, operation_count, print_table
+from conftest import BENCH_QUICK, operation_count, paired_speedup, print_table
 
 SWEEP_TRIALS = 100
 SWEEP_DOUBLETS = 16
@@ -36,6 +36,8 @@ SWEEP_DOUBLETS = 16
 #: (~one taken conditional commit each -- the prefix the engine saves).
 REPLAY_DOUBLETS = operation_count(12, 4)
 REPLAY_LOOP_ITERATIONS = 1200
+#: Paired rounds behind the recorded replay speedup (the median ratio).
+REPLAY_ROUNDS = 5
 
 
 class PlantedVictim:
@@ -106,62 +108,65 @@ def build_replay_victim():
     return b.build()
 
 
-def run_replay_arms():
+def replay_arm(reader_class):
+    """One read of the replay victim on a fresh machine, as a callable
+    returning ``(result, replay stats)``."""
     program = build_replay_victim()
-    arms = {}
-    for reuse, reader_class in (("checkpoint", PhrReader),
-                                ("none", NaivePhrReader)):
+
+    def read():
         machine = Machine(RAPTOR_LAKE)
         reader = reader_class(machine, VictimHandle(machine, program),
                               rng=DeterministicRng(0x42EAD).fork(99))
-        start = time.perf_counter()
         result = reader.read(count=REPLAY_DOUBLETS)
-        arms[reuse] = {
-            "elapsed": time.perf_counter() - start,
-            "doublets": result.doublets,
-            "confidence": result.confidence,
-            "stats": reader.replay.stats.as_dict(),
-        }
-    return arms
+        return result, reader.replay.stats.as_dict()
+
+    return read
 
 
 def test_sec4_read_phr_replay_speedup(benchmark):
-    arms = benchmark.pedantic(run_replay_arms, rounds=1, iterations=1)
-    checkpoint, none = arms["checkpoint"], arms["none"]
-    speedup = none["elapsed"] / checkpoint["elapsed"]
+    checkpoint_arm = replay_arm(PhrReader)
+    naive_arm = replay_arm(NaivePhrReader)
+    checkpoint, checkpoint_stats = benchmark.pedantic(
+        checkpoint_arm, rounds=1, iterations=1)
+    naive, naive_stats = naive_arm()
+    info = benchmark.extra_info
+    speedup = paired_speedup(checkpoint_arm, naive_arm, info, "replay",
+                             REPLAY_ROUNDS)
 
     print_table(
         f"Section 4.2 -- Read_PHR prefix replay "
         f"({REPLAY_DOUBLETS} doublets, {REPLAY_LOOP_ITERATIONS}-commit "
-        f"victim, {'quick' if BENCH_QUICK else 'full'} mode)",
-        ["reuse policy", "time", "victim runs", "speedup"],
+        f"victim, {'quick' if BENCH_QUICK else 'full'} mode, median of "
+        f"{REPLAY_ROUNDS} paired rounds)",
+        ["reuse policy", "median", "IQR", "victim runs", "speedup"],
         [
-            ["none (re-run prefix per guess)", f"{none['elapsed']:.3f}s",
-             none["stats"]["prefix_runs"], "1.00x"],
+            ["none (re-run prefix per guess)",
+             f"{info['replay_slow_median_s']:.3f}s",
+             f"{info['replay_slow_iqr_s']:.3f}s",
+             naive_stats["prefix_runs"], "1.00x"],
             ["checkpoint (restore per guess)",
-             f"{checkpoint['elapsed']:.3f}s",
-             checkpoint["stats"]["prefix_runs"], f"{speedup:.2f}x"],
+             f"{info['replay_fast_median_s']:.3f}s",
+             f"{info['replay_fast_iqr_s']:.3f}s",
+             checkpoint_stats["prefix_runs"], f"{speedup:.2f}x"],
         ],
     )
 
     # The twins must agree bit for bit -- same doublets, same observed
     # misprediction rates -- before any speedup claim counts.
-    assert checkpoint["doublets"] == none["doublets"]
-    assert checkpoint["confidence"] == none["confidence"]
+    assert checkpoint.doublets == naive.doublets
+    assert checkpoint.confidence == naive.confidence
     # The engine ran the victim once; the naive twin once at checkpoint
     # declaration plus once per evaluation.
-    assert checkpoint["stats"]["prefix_runs"] == 1
-    assert none["stats"]["prefix_runs"] == 4 * REPLAY_DOUBLETS + 1
+    assert checkpoint_stats["prefix_runs"] == 1
+    assert naive_stats["prefix_runs"] == 4 * REPLAY_DOUBLETS + 1
 
-    # ISSUE 5 acceptance gate: >=3x in quick mode (the CI configuration).
+    # The acceptance gate: >=3x in quick mode (the CI configuration).
     if BENCH_QUICK:
         assert speedup >= 3.0, (
             f"replay-backed read only {speedup:.2f}x over the naive twin")
 
-    benchmark.extra_info.update({
+    info.update({
         "replay_speedup": round(speedup, 2),
-        "checkpoint_s": round(checkpoint["elapsed"], 4),
-        "none_s": round(none["elapsed"], 4),
         "doublets": REPLAY_DOUBLETS,
         "victim_commits": REPLAY_LOOP_ITERATIONS,
     })

@@ -228,7 +228,7 @@ def batch_backend_for(
 
 
 class _TableMeta:
-    """Static per-table constants mirroring ``TaggedTable``'s fold setup."""
+    """Static per-table constants of the O(1) circular-fold advance."""
 
     __slots__ = (
         "window", "tag_bits", "tag_mask", "hi_width", "can_advance",
@@ -493,8 +493,12 @@ class _TageBatchBackend(BatchPredictorBackend):
                       footprint: np.ndarray) -> None:
         """Shift ``rows`` by one doublet and fold ``footprint`` in.
 
-        The fold recurrence is the vector transcription of
-        ``TaggedTable._advance_step``; the bit-array update is
+        The fold recurrence is the TAGE circular-fold update: each fold
+        rotates twice, absorbing the two evicted top bits at its
+        outpoint, then XORs in the footprint's two-chunk fold (the
+        scalar tables refold each new window from scratch instead, and
+        the batch equivalence tests pin the two bit-identical).  The
+        bit-array update is
         ``PHR' = ((PHR << 2) ^ footprint) & mask`` one bit-plane at a
         time.  Footprint-generic: callers pass whatever the family's
         commit rule injects (branch/target footprints, the M1
@@ -858,15 +862,11 @@ class M1BatchBackend(_TageBatchBackend):
 
         Taken branches fold the branch/target footprint; not-taken
         branches fold the branch-address-only fallthrough footprint
-        (the vector twin of ``M1PathHistoryRegister.on_conditional``).
-        The two row sets are disjoint, so the advance order is
-        immaterial.
+        (the vector twin of ``M1PathHistoryRegister.on_conditional``),
+        so every row advances once, in one call.
         """
-        self._advance_rows(rows[taken],
-                           self._footprints(pc[taken], target[taken]))
-        not_taken = ~taken
-        self._advance_rows(rows[not_taken],
-                           self._branch_lut[pc[not_taken] & 0xFFFF])
+        self._advance_rows(rows, np.where(taken, self._footprints(pc, target),
+                                          self._branch_lut[pc & 0xFFFF]))
 
 
 # ----------------------------------------------------------------------

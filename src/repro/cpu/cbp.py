@@ -30,7 +30,7 @@ class Prediction:
 
     ``keys`` carries each tagged table's ``(index, tag)`` lookup key from
     the predict-time probe (tag ``None`` when the probe missed on an
-    empty set), stamped with the PHR identity and version they were
+    empty set), stamped with the PHR identity and value they were
     computed against.  :meth:`ConditionalBranchPredictor.update` reuses
     them -- a branch is hashed once per commit, not twice.
     """
@@ -41,7 +41,7 @@ class Prediction:
     alternate: bool
     keys: Tuple[Tuple[int, Optional[int]], ...] = ()
     phr: Optional[PathHistoryRegister] = field(default=None, repr=False)
-    phr_version: int = -1
+    phr_value: int = -1
 
 
 class ConditionalBranchPredictor:
@@ -110,7 +110,7 @@ class ConditionalBranchPredictor:
                 taken = found.counter.value >= found.counter.threshold
         return Prediction(taken=taken, provider=provider, entry=entry,
                           alternate=alternate, keys=tuple(keys), phr=phr,
-                          phr_version=phr.version)
+                          phr_value=phr._value)
 
     # ----- training ---------------------------------------------------------
 
@@ -125,7 +125,7 @@ class ConditionalBranchPredictor:
         """
         self._mutations += 1
         if (prediction is None or prediction.phr is not phr
-                or prediction.phr_version != phr.version):
+                or prediction.phr_value != phr._value):
             prediction = self.predict(pc, phr)
         if self.train_fault is not None:
             taken = bool(self.train_fault(pc, taken))

@@ -24,9 +24,8 @@ attack-relevant properties):
   Intel's PHR (jumps and calls are path events on both).
 * **Tables** -- the direction tables reuse the TAGE-style base + tagged
   structure (:class:`~repro.cpu.cbp.ConditionalBranchPredictor`); the
-  tagged tables consume the M1 register through the same journalled
-  folded-history machinery, so the hot path keeps its O(1) fold
-  catch-up.
+  tagged tables fold the M1 register's value exactly as they fold
+  Intel's, through the same value-keyed fold cache.
 
 The :data:`~repro.cpu.config.FIRESTORM_M1` preset carries this
 family's geometry (86-doublet history -- shorter than Raptor Lake's
@@ -45,8 +44,8 @@ from repro.cpu.phr import PathHistoryRegister
 class M1PathHistoryRegister(PathHistoryRegister):
     """A PHR variant with the M1-style footprint and update discipline.
 
-    Shares the shift/journal/fold mechanics of the base register --
-    only the footprint function and the conditional-commit rule differ,
+    Shares the shift/inject mechanics of the base register -- only the
+    footprint function and the conditional-commit rule differ,
     which is exactly the seam :class:`~repro.cpu.phr.PathHistoryRegister`
     exposes for register families.
     """

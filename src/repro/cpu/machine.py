@@ -247,9 +247,11 @@ class Machine:
         """An identity token for the machine's current snapshot-visible state.
 
         Two reads returning equal tuples guarantee no state-changing
-        method ran in between, so any value derived from the snapshot
-        (its digest, above all) is still valid.  The converse is not
-        promised: a restore to identical state still changes the epoch.
+        method ran in between -- or, for the history registers, whose
+        value is their whole state, that each holds the same value -- so
+        any value derived from the snapshot (its digest, above all) is
+        still valid.  The converse is not promised: a restore to
+        identical state still changes the epoch.
 
         Returns ``None`` -- disabling such memoization -- when a component
         has been replaced by one without a mutation counter (e.g. the
@@ -269,7 +271,7 @@ class Machine:
             self.cache.mutations,
             (perf.instructions, perf.conditional_branches,
              perf.taken_branches, perf.returns, perf.indirect_branches),
-            tuple((context.phr.version, context.ras.mutations,
+            tuple((context.phr.value, context.ras.mutations,
                    context.domain) for context in self.threads),
             self.ibrs_enabled,
         )

@@ -27,13 +27,17 @@ as ``machine.cbp``.  Protocol::
 **The history register** (``build_history``, one per SMT thread),
 installed as ``ThreadContext.phr``.  Protocol::
 
-    value -> int; bits -> int; capacity -> int; version -> int
+    value -> int; bits -> int; capacity -> int
     low_bits(n) -> int                   # for IBP / table index hashes
     on_conditional(pc, target, taken)    # commit of a conditional
     on_taken(pc, target)                 # commit of a taken
                                          # non-conditional branch
     clear(); set_value(v)
     snapshot() -> int; restore(snap); copy()
+
+``value`` is the register's whole state: the predictor's stashed
+lookups and the machine's state epoch key on it, so a register needs
+no mutation counter.
 
 The *semantics* of the two commit hooks are the family's identity: the
 Intel PHR folds a footprint on taken branches only, the M1-style PHR

@@ -13,34 +13,22 @@ in doublets, with doublet 0 the least significant.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, List, Optional, Tuple
 
 from repro.cpu.footprint import branch_footprint
 from repro.utils.bits import mask
 
-#: Taken-branch steps the register journals for incremental-fold catch-up.
-#: Consumers that fall further behind recompute their folds from scratch,
-#: which the halving ``fold_xor`` keeps cheap, so a short journal suffices.
-STEP_JOURNAL_DEPTH = 8
-
-
 class PathHistoryRegister:
     """A ``capacity``-doublet shift register with footprint injection.
 
-    Every mutation bumps :attr:`version`, and plain taken-branch updates
-    additionally journal ``(previous_value, footprint)`` so that folded-
-    history consumers (the tagged PHTs) can advance their registers in
-    O(1) per taken branch instead of re-folding the full history --
-    the circular-fold discipline of real TAGE hardware.  Any other
-    mutation (``set_value``/``shift``/``clear``/...) clears the journal,
-    forcing those consumers to lazily recompute.
+    The raw value is the register's only state.  Derived caches (the
+    tagged PHTs' folded histories, the CBP's stashed lookup keys) key
+    on that value, so every mutator just sets it.
     """
 
     #: The footprint function of this register family.  Subclasses (the
     #: M1-style register of :mod:`repro.cpu.m1`) override it; the tagged
-    #: tables and the step journal are footprint-agnostic, so the whole
-    #: folded-history machinery carries over unchanged.
+    #: tables fold the value alone, so they carry over unchanged.
     footprint = staticmethod(branch_footprint)
 
     def __init__(self, capacity: int = 194, value: int = 0):
@@ -53,9 +41,6 @@ class PathHistoryRegister:
         self.capacity = capacity
         self._mask = mask(2 * capacity)
         self._value = value & self._mask
-        #: Monotonic mutation counter; folded-history caches key on it.
-        self.version = 0
-        self._steps: deque = deque(maxlen=STEP_JOURNAL_DEPTH)
 
     # ----- inspection -------------------------------------------------------
 
@@ -99,24 +84,16 @@ class PathHistoryRegister:
     def update(self, branch_address: int, target_address: int) -> None:
         """Record one taken branch (shift one doublet, XOR footprint)."""
         footprint = self.footprint(branch_address, target_address)
-        value = self._value
-        self._steps.append((value, footprint))
-        self._value = ((value << 2) ^ footprint) & self._mask
-        self.version += 1
+        self._value = ((self._value << 2) ^ footprint) & self._mask
 
     def inject(self, footprint: int) -> None:
         """Shift one doublet and XOR a precomputed ``footprint``.
 
-        The journalled core of :meth:`update`, exposed for register
-        families whose commit rules inject footprints :meth:`update`
-        cannot express (the M1-style register folds one for *not-taken*
-        conditionals too).  Journal semantics match :meth:`update`, so
-        folded-history consumers stay O(1) across these steps as well.
+        The core of :meth:`update`, exposed for register families whose
+        commit rules inject footprints :meth:`update` cannot express (the
+        M1-style register folds one for *not-taken* conditionals too).
         """
-        value = self._value
-        self._steps.append((value, footprint))
-        self._value = ((value << 2) ^ footprint) & self._mask
-        self.version += 1
+        self._value = ((self._value << 2) ^ footprint) & self._mask
 
     # ----- machine commit hooks (the PredictorModel history protocol) -----
 
@@ -141,28 +118,6 @@ class PathHistoryRegister:
         """
         self.update(branch_address, target_address)
 
-    def steps_since(self, version: int) -> Optional[Tuple[Tuple[int, int], ...]]:
-        """The journalled ``(previous_value, footprint)`` taken-branch steps
-        leading from ``version`` to the current version.
-
-        Returns ``None`` when the gap is not bridgeable by journalled
-        updates alone -- the journal is too short, or a non-update
-        mutation intervened (those clear the journal).  Folded-history
-        consumers then recompute from scratch.
-        """
-        behind = self.version - version
-        if behind == 0:
-            return ()
-        if behind < 0 or behind > len(self._steps):
-            return None
-        steps = tuple(self._steps)
-        return steps[len(steps) - behind:]
-
-    def _invalidate(self) -> None:
-        """Version-bump a non-update mutation and drop the step journal."""
-        self._steps.clear()
-        self.version += 1
-
     def shift(self, doublets: int = 1) -> None:
         """Shift left by ``doublets`` without injecting a footprint.
 
@@ -172,20 +127,14 @@ class PathHistoryRegister:
         if doublets < 0:
             raise ValueError(f"shift amount must be non-negative: {doublets}")
         self._value = (self._value << (2 * doublets)) & self._mask
-        self._invalidate()
 
     def clear(self) -> None:
         """Reset to all zeros (``Clear_PHR`` == ``Shift_PHR[capacity]``)."""
         self._value = 0
-        self._invalidate()
 
     def set_value(self, value: int) -> None:
         """Force the raw register contents."""
         self._value = value & self._mask
-        # _invalidate(), inlined: set_value is the hottest non-update
-        # mutation (every attack arm re-seeds the PHR through it).
-        self._steps.clear()
-        self.version += 1
 
     def set_doublet(self, index: int, doublet: int) -> None:
         """Force doublet ``index`` to ``doublet`` (0..3)."""
@@ -195,7 +144,6 @@ class PathHistoryRegister:
             raise ValueError(f"doublet index out of range: {index}")
         cleared = self._value & ~(0b11 << (2 * index))
         self._value = cleared | (doublet << (2 * index))
-        self._invalidate()
 
     def copy(self) -> "PathHistoryRegister":
         """An independent copy (of the same register family)."""
@@ -208,16 +156,8 @@ class PathHistoryRegister:
         return self._value
 
     def restore(self, snap: int) -> None:
-        """Restore a :meth:`snapshot`.
-
-        Equivalent to :meth:`set_value`: the version bumps and the step
-        journal drops even when the value is unchanged, so folded-history
-        consumers resync rather than trusting a cache that may span the
-        restore boundary.
-        """
+        """Restore a :meth:`snapshot` (equivalent to :meth:`set_value`)."""
         self._value = snap & self._mask
-        self._steps.clear()
-        self.version += 1
 
     # ----- analysis helpers ---------------------------------------------------
 
@@ -229,16 +169,11 @@ class PathHistoryRegister:
         doublet of the pre-branch PHR is recovered except the most
         significant one, which was shifted out and is returned as zero.
         This is the inversion step used by both the Extended Read PHR
-        primitive (Figure 5) and the Pathfinder path search.
-
-        The register contents are untouched, but the version is bumped
-        conservatively: analysis loops interleave ``reverse_update`` with
-        raw value surgery, and a stale-but-matching version must never let
-        a folded-history cache survive such a sequence.
+        primitive (Figure 5) and the Pathfinder path search.  The
+        register contents are untouched.
         """
         footprint = self.footprint(branch_address, target_address)
         previous = ((self._value ^ footprint) >> 2) & mask(2 * (self.capacity - 1))
-        self._invalidate()
         return previous, self.capacity - 1
 
     @classmethod

@@ -13,14 +13,12 @@ hit the same entry, while different histories rarely do -- holds by
 construction.
 
 Hot path (DESIGN.md decision 5): every branch commit funnels through
-``index``/``tag``, so each table maintains *incrementally folded* history
-registers in the TAGE style instead of re-folding the full PHR per
-lookup.  The registers are keyed by ``(phr, phr.version)``; a journalled
-taken-branch step advances them in O(1) (two circular-shift steps plus a
-footprint fold), any other PHR mutation lazily triggers a from-scratch
-refold via the halving ``fold_xor``.  ``_reference_index`` and
-``_reference_tag`` retain the definitional chunk-loop folds and property
-tests pin the two paths bit-identical.
+``index``/``tag``, so each table caches the folds of the last PHR value
+it hashed, keyed on that value alone.  A probe with a new value refolds
+its window through the compiled halving ``fold_xor``; the tag folds are
+computed only when a probe reaches an occupied set.  ``_reference_index``
+and ``_reference_tag`` retain the definitional chunk-loop folds and
+property tests pin the two paths bit-identical.
 """
 
 from __future__ import annotations
@@ -190,114 +188,37 @@ class TaggedTable:
         self._window_mask = mask(window)
         self._index_fold = compiled_fold(window, INDEX_BITS - 1)
         self._tag_fold = compiled_fold(window, tag_bits)
-        self._tag_hi_width = max(window - 3, 1)
-        self._tag_hi_fold = compiled_fold(self._tag_hi_width, tag_bits)
-        self._tag_mask = mask(tag_bits)
-        # Bit position at which a doublet evicted from the top of the
-        # window re-enters its fold (the "outpoint" of a TAGE circular
-        # fold): width-of-the-folded-value modulo the chunk width.
-        self._index_evict_shift = window % (INDEX_BITS - 1)
-        self._tag_evict_shift = window % tag_bits
-        self._tag_hi_evict_shift = self._tag_hi_width % tag_bits
-        # The O(1) advance inlines two-chunk folds of the 16-bit footprint
-        # and assumes the window dwarfs it; tiny virtual tables fall back
-        # to the (cheap) from-scratch refold.
-        self._can_advance = tag_bits >= 8 and window >= 20
-        # Fold cache: valid for PHR object `_fold_phr` at `_fold_version`.
+        self._tag_hi_fold = compiled_fold(max(window - 3, 1), tag_bits)
+        # Fold cache: the folds of PHR value `_fold_value` (-1: none yet).
         # `_fold_tags` is filled lazily -- most probes of an empty set
         # never need the tag folds at all.
-        self._fold_phr: Optional[PathHistoryRegister] = None
-        self._fold_version = -1
+        self._fold_value = -1
         self._fold_index = 0
         self._fold_tags: Optional[Tuple[int, int]] = None
         self._pc_folds: dict = {}
 
     # ----- hashing -----------------------------------------------------------
 
-    def _refold(self, phr: PathHistoryRegister) -> None:
-        """Recompute the index fold from scratch and re-key the cache."""
-        folded = phr._value
-        if folded > self._window_mask:
-            folded &= self._window_mask
-        self._fold_index = self._index_fold(folded)
+    def _refold(self, value: int) -> None:
+        """Recompute the index fold of PHR ``value`` and re-key the cache."""
+        self._fold_value = value
+        if value > self._window_mask:
+            value &= self._window_mask
+        self._fold_index = self._index_fold(value)
         self._fold_tags = None
-        self._fold_phr = phr
-        self._fold_version = phr.version
-
-    def _advance_step(self, old_value: int, footprint: int) -> None:
-        """Advance the folds across one taken branch, in O(1).
-
-        ``old_value`` is the PHR contents *before* the branch and
-        ``footprint`` its 16-bit footprint: the window evolves as
-        ``window' = ((window << 2) ^ footprint) & window_mask``.  Each
-        fold absorbs the two evicted top bits at its outpoint while
-        circularly shifting twice, then XORs in the (two-chunk) fold of
-        the injected footprint -- the TAGE folded-register update.
-        """
-        window = self.history_bits
-        top = (old_value >> (window - 2)) & 0b11
-        evicted_first, evicted_second = top >> 1, top & 1
-
-        folded = self._fold_index
-        evict = self._index_evict_shift
-        folded = (((folded << 1) | (folded >> 7)) & 0xFF) ^ (evicted_first << evict)
-        folded = (((folded << 1) | (folded >> 7)) & 0xFF) ^ (evicted_second << evict)
-        self._fold_index = folded ^ (footprint & 0xFF) ^ (footprint >> 8)
-
-        tags = self._fold_tags
-        if tags is not None:
-            chunk = self.tag_bits
-            rot = chunk - 1
-            tag_mask = self._tag_mask
-            low, high = tags
-            evict = self._tag_evict_shift
-            low = (((low << 1) | (low >> rot)) & tag_mask) ^ (evicted_first << evict)
-            low = (((low << 1) | (low >> rot)) & tag_mask) ^ (evicted_second << evict)
-            low ^= (footprint & tag_mask) ^ (footprint >> chunk)
-            # The offset fold tracks window >> 3: shifting the window by a
-            # doublet slides old window bits 1..2 into its low positions.
-            injected = (footprint >> 3) ^ ((old_value >> 1) & 0b11)
-            evict = self._tag_hi_evict_shift
-            high = (((high << 1) | (high >> rot)) & tag_mask) ^ (evicted_first << evict)
-            high = (((high << 1) | (high >> rot)) & tag_mask) ^ (evicted_second << evict)
-            high ^= (injected & tag_mask) ^ (injected >> chunk)
-            self._fold_tags = (low, high)
-
-    def _sync(self, phr: PathHistoryRegister) -> None:
-        """Bring the fold cache in step with ``phr``.
-
-        O(1) per journalled taken branch; a full refold on any other
-        mutation (or a journal gap), which the PHR signals through its
-        version counter.
-        """
-        if phr is self._fold_phr:
-            behind = phr.version - self._fold_version
-            if behind == 0:
-                return
-            # Direct journal access (rather than phr.steps_since) keeps the
-            # per-probe cost down; the deque holds (old_value, footprint)
-            # pairs for the most recent taken-branch updates only.
-            steps = phr._steps
-            journalled = len(steps)
-            if 0 < behind <= journalled and self._can_advance:
-                for position in range(journalled - behind, journalled):
-                    old_value, footprint = steps[position]
-                    self._advance_step(old_value, footprint)
-                self._fold_version = phr.version
-                return
-        self._refold(phr)
 
     def _tag_folds(self, phr: PathHistoryRegister) -> Tuple[int, int]:
         """The two folded tag registers, computing them on first use."""
-        self._sync(phr)
+        if phr._value != self._fold_value:
+            self._refold(phr._value)
         tags = self._fold_tags
         if tags is None:
-            tags = self._refold_tags(phr)
+            tags = self._refold_tags()
         return tags
 
-    def _refold_tags(self, phr: PathHistoryRegister) -> Tuple[int, int]:
-        """Scratch-compute the tag folds for an already-synced cache."""
-        window = phr._value & self._window_mask
+    def _refold_tags(self) -> Tuple[int, int]:
+        """Scratch-compute the tag folds of the cached PHR value."""
+        window = self._fold_value & self._window_mask
         tags = (self._tag_fold(window), self._tag_hi_fold(window >> 3))
         self._fold_tags = tags
         return tags
@@ -312,7 +233,8 @@ class TaggedTable:
 
     def index(self, pc: int, phr: PathHistoryRegister) -> int:
         """9-bit set index: 8 folded history bits + one PC bit."""
-        self._sync(phr)
+        if phr._value != self._fold_value:
+            self._refold(phr._value)
         return self._fold_index | (((pc >> self.pc_index_bit) & 1)
                                    << (INDEX_BITS - 1))
 
@@ -357,10 +279,9 @@ class TaggedTable:
         in its :class:`~repro.cpu.cbp.Prediction` so the later update /
         allocate of the same branch never rehashes.
         """
-        # _sync's fast path, inlined: probe runs three times per predicted
-        # branch and the extra call frame is measurable.
-        if phr is not self._fold_phr or self._fold_version != phr.version:
-            self._sync(phr)
+        value = phr._value
+        if value != self._fold_value:
+            self._refold(value)
         index = self._fold_index | (((pc >> self.pc_index_bit) & 1)
                                     << (INDEX_BITS - 1))
         ways = self._sets[index]
@@ -368,8 +289,7 @@ class TaggedTable:
             return None, index, None
         tags = self._fold_tags
         if tags is None:
-            # The cache is already synced; skip _tag_folds' re-sync.
-            tags = self._refold_tags(phr)
+            tags = self._refold_tags()
         wanted = tags[0] ^ tags[1] ^ self._pc_fold(pc)
         for entry in ways:
             if entry.tag == wanted:
@@ -453,7 +373,7 @@ class TaggedTable:
         """Sparse checkpoint ``{set index: ((tag, counter, useful), ...)}``.
 
         Only non-empty sets are copied; the derived fold caches are not
-        state (they re-key lazily off the PHR version).
+        state (they re-key lazily off the PHR value).
         """
         sets = self._sets
         # Sorted for canonical bytes (see BasePredictor.snapshot).

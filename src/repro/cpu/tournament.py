@@ -62,9 +62,6 @@ class GlobalHistoryRegister:
         self.capacity = capacity
         self._mask = mask(capacity)
         self._value = value & self._mask
-        #: Monotonic mutation counter (the machine's state epoch and the
-        #: predictor's prediction-staleness check both key on it).
-        self.version = 0
 
     # ----- inspection -----------------------------------------------------
 
@@ -101,7 +98,6 @@ class GlobalHistoryRegister:
                        taken: bool) -> None:
         """Shift in the direction bit of a retired conditional branch."""
         self._value = ((self._value << 1) | int(taken)) & self._mask
-        self.version += 1
 
     def on_taken(self, branch_address: int, target_address: int) -> None:
         """Taken non-conditional branches do not move a classic GHR."""
@@ -111,12 +107,10 @@ class GlobalHistoryRegister:
     def clear(self) -> None:
         """Reset to all zeros (this family's history-flush mitigation)."""
         self._value = 0
-        self.version += 1
 
     def set_value(self, value: int) -> None:
         """Force the raw register contents (attack-side history seeding)."""
         self._value = value & self._mask
-        self.version += 1
 
     def copy(self) -> "GlobalHistoryRegister":
         """An independent copy."""
@@ -129,9 +123,8 @@ class GlobalHistoryRegister:
         return self._value
 
     def restore(self, snap: int) -> None:
-        """Restore a :meth:`snapshot` (version bumps like the PHR's)."""
+        """Restore a :meth:`snapshot`."""
         self._value = snap & self._mask
-        self.version += 1
 
 
 @dataclass(slots=True)
@@ -141,7 +134,7 @@ class TournamentPrediction:
     Carries both component votes and the chooser's pick so
     :meth:`TournamentPredictor.update` can train the chooser toward
     whichever component was right -- without re-probing.  ``history`` /
-    ``history_version`` stamp the GHR state of the lookup; a stale
+    ``history_value`` stamp the GHR state of the lookup; a stale
     prediction is recomputed on update, mirroring
     :class:`~repro.cpu.cbp.Prediction`.
     """
@@ -152,7 +145,7 @@ class TournamentPrediction:
     chose_gshare: bool
     gshare_index: int
     history: Optional[GlobalHistoryRegister] = field(default=None, repr=False)
-    history_version: int = -1
+    history_value: int = -1
 
 
 class TournamentPredictor:
@@ -204,7 +197,7 @@ class TournamentPredictor:
             chose_gshare=chose_gshare,
             gshare_index=index,
             history=history,
-            history_version=history.version,
+            history_value=history._value,
         )
 
     # ----- training -------------------------------------------------------
@@ -214,7 +207,7 @@ class TournamentPredictor:
         """Train all three tables with a resolved branch outcome."""
         self._mutations += 1
         if (prediction is None or prediction.history is not history
-                or prediction.history_version != history.version):
+                or prediction.history_value != history._value):
             prediction = self.predict(pc, history)
         # Both components always train (the classic Alpha 21264 rule).
         self.local.update(pc, taken)

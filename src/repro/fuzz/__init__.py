@@ -2,8 +2,8 @@
 
 The simulator keeps *twins* -- a fast path and a reference path -- for
 its hottest components: the predecoded vs isinstance-dispatch
-interpreter engines, the incremental vs refold predictor index caches,
-and the T-table vs byte-at-a-time AES data paths.  This package pits
+interpreter engines, the lockstep batch vs scalar predictors, and the
+T-table vs byte-at-a-time AES data paths.  This package pits
 them against each other over seeded random programs:
 
 * :mod:`repro.fuzz.twins` -- the reference and naive twins themselves,

@@ -214,10 +214,6 @@ class FuzzProgram:
         """The same program pinned to predictor family ``model_id``."""
         return replace(self, predictor_model=model_id)
 
-    @property
-    def static_instructions(self) -> int:
-        return len(self.program)
-
 
 def program_rng(seed: int, index: int) -> DeterministicRng:
     """The decorrelated rng stream of program ``index`` under ``seed``."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.cpu.machine import Machine, MachineRunResult
+from repro.cpu.machine import Machine
 from repro.isa.interpreter import BranchKind, CpuState
 from repro.isa.memory import Memory
 from repro.isa.program import Program
@@ -64,11 +64,10 @@ class VictimHandle:
         self.mode = mode
         self.max_instructions = max_instructions
         self._recorded: Optional[List[RecordedBranch]] = None
-        self._last_result: Optional[MachineRunResult] = None
 
     # ------------------------------------------------------------------
 
-    def _execute(self, thread: int) -> MachineRunResult:
+    def _execute(self, thread: int) -> None:
         state = CpuState()
         memory = Memory()
         if self.setup is not None:
@@ -81,7 +80,6 @@ class VictimHandle:
             entry=self.entry,
             max_instructions=self.max_instructions,
         )
-        self._last_result = result
         self._recorded = [
             RecordedBranch(
                 pc=record.pc,
@@ -91,7 +89,6 @@ class VictimHandle:
             )
             for record in result.trace
         ]
-        return result
 
     def invoke(self, thread: int = 0) -> None:
         """Run the victim once on ``thread`` (execute or replay)."""
@@ -125,7 +122,3 @@ class VictimHandle:
             for branch in self.profile(thread)
             if branch.taken
         ]
-
-    def last_result(self) -> Optional[MachineRunResult]:
-        """The most recent full-execution result, if any."""
-        return self._last_result

@@ -146,7 +146,7 @@ class TestPredictionKeys:
         phr = phr_of(0x3333)
         prediction = make_cbp().predict(0x40, phr)
         assert prediction.phr is phr
-        assert prediction.phr_version == phr.version
+        assert prediction.phr_value == phr.value
 
     def test_stale_prediction_recomputed_on_update(self):
         """If the PHR mutated between predict and update, the stashed

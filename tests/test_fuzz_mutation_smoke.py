@@ -10,13 +10,14 @@ persisted reproducer is a valid failing pytest case.
 
 from __future__ import annotations
 
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.fuzz import diff, generator, mutations
+from repro.fuzz import cli, diff, generator, mutations
 from repro.fuzz.corpus import FailureCase, write_reproducer
 from repro.fuzz.shrink import shrink
 
@@ -27,6 +28,19 @@ CATCH_BUDGET = 20
 
 #: A shrunk reproducer must be at most this many static instructions.
 SHRUNK_LIMIT = 30
+
+
+def _run_reproducer(path: Path):
+    """Run one persisted reproducer under a fresh pytest, in its directory."""
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", str(path), "-q", "-p",
+         "no:cacheprovider", "-m", ""],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(src_dir), "PATH": "/usr/bin:/bin",
+             "HOME": "/tmp"},
+        cwd=path.parent,
+    )
 
 
 def _find_first_failure(mutator_name: str, budget: int = CATCH_BUDGET):
@@ -97,18 +111,28 @@ class TestMutationSmoke:
         path = write_reproducer(case, directory=tmp_path)
         assert path.exists()
 
-        src_dir = Path(__file__).resolve().parent.parent / "src"
-        completed = subprocess.run(
-            [sys.executable, "-m", "pytest", str(path), "-q", "-p",
-             "no:cacheprovider", "-m", ""],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": str(src_dir), "PATH": "/usr/bin:/bin",
-                 "HOME": "/tmp"},
-            cwd=tmp_path,
-        )
+        completed = _run_reproducer(path)
         # The reproducer re-installs the deliberate fault, so it must
         # FAIL (the bug "lives"); a passing run means it reproduced
         # nothing.
+        assert completed.returncode == 1, completed.stdout + completed.stderr
+        assert "1 failed" in completed.stdout
+
+    def test_cli_failure_shrinks_and_persists_a_reproducer(
+            self, tmp_path, monkeypatch):
+        """The campaign's failure path end to end: a mutated run exits 1,
+        shrinks the first failing program (``--shrink-limit 1``) and
+        writes exactly one reproducer, which fails under pytest."""
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        out = io.StringIO()
+        code = cli.main(["--seed", "0", "--programs", "4", "--smoke",
+                         "--mutate", "pht-train-invert",
+                         "--corpus", str(tmp_path), "--shrink-limit", "1",
+                         "-q"], out=out)
+        assert code == 1, out.getvalue()
+        reproducers = list(tmp_path.glob("test_corpus_*.py"))
+        assert len(reproducers) == 1, out.getvalue()
+        completed = _run_reproducer(reproducers[0])
         assert completed.returncode == 1, completed.stdout + completed.stderr
         assert "1 failed" in completed.stdout
 

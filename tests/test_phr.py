@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu.footprint import branch_footprint
-from repro.cpu.phr import (
-    STEP_JOURNAL_DEPTH,
-    PathHistoryRegister,
-    replay_taken_branches,
-)
+from repro.cpu.phr import PathHistoryRegister, replay_taken_branches
 
 
 branch_strategy = st.tuples(
@@ -128,68 +124,6 @@ class TestEqualityCopy:
         b = a.copy()
         b.shift(1)
         assert a.value == 7
-
-
-class TestVersionJournal:
-    """The mutation-version counter and taken-branch step journal that
-    the tagged tables' folded-history caches key on."""
-
-    def test_update_bumps_version_and_journals(self):
-        phr = PathHistoryRegister(194, value=0x5A5A)
-        start = phr.version
-        phr.update(0x40AC00, 0x40AC40)
-        assert phr.version == start + 1
-        footprint = branch_footprint(0x40AC00, 0x40AC40)
-        assert phr.steps_since(start) == ((0x5A5A, footprint),)
-
-    def test_steps_since_current_version_is_empty(self):
-        phr = PathHistoryRegister(194)
-        assert phr.steps_since(phr.version) == ()
-
-    def test_steps_since_future_version_unbridgeable(self):
-        phr = PathHistoryRegister(194)
-        assert phr.steps_since(phr.version + 1) is None
-
-    def test_journal_depth_bounds_catch_up(self):
-        phr = PathHistoryRegister(194)
-        start = phr.version
-        for i in range(STEP_JOURNAL_DEPTH + 1):
-            phr.update(0x1000 + 4 * i, 0x2000)
-        # One step too far behind: the oldest step has been evicted.
-        assert phr.steps_since(start) is None
-        # The most recent STEP_JOURNAL_DEPTH steps are still bridgeable,
-        # in oldest-first order.
-        steps = phr.steps_since(start + 1)
-        assert steps is not None
-        assert len(steps) == STEP_JOURNAL_DEPTH
-        replayed = PathHistoryRegister(194, value=steps[0][0])
-        for _, footprint in steps:
-            replayed.set_value(((replayed.value << 2) ^ footprint))
-        assert replayed.value == phr.value
-
-    @pytest.mark.parametrize("mutate", [
-        lambda phr: phr.shift(1),
-        lambda phr: phr.clear(),
-        lambda phr: phr.set_value(0x1234),
-        lambda phr: phr.set_doublet(0, 3),
-        lambda phr: phr.reverse_update(0x1000, 0x2000),
-    ], ids=["shift", "clear", "set_value", "set_doublet", "reverse_update"])
-    def test_non_update_mutations_invalidate(self, mutate):
-        phr = PathHistoryRegister(194, value=0xF00D)
-        phr.update(0x1000, 0x2000)
-        version = phr.version
-        mutate(phr)
-        assert phr.version > version
-        # The journal is dropped: no gap from before the mutation is
-        # bridgeable by taken-branch steps alone.
-        assert phr.steps_since(version) is None
-
-    def test_reverse_update_keeps_value_but_bumps_version(self):
-        phr = PathHistoryRegister(194, value=0xABCD)
-        version = phr.version
-        phr.reverse_update(0x1000, 0x2000)
-        assert phr.value == 0xABCD
-        assert phr.version > version
 
 
 class TestReverseUpdate:

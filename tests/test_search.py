@@ -6,7 +6,9 @@ import weakref
 import pytest
 
 from repro.cpu import Machine, RAPTOR_LAKE
+from repro.cpu.footprint import branch_footprint
 from repro.cpu.phr import replay_taken_branches
+from repro.fuzz.twins import ExhaustivePathSearch
 from repro.isa import ProgramBuilder
 from repro.pathfinder import (ControlFlowGraph, PathSearch, cached_cfg,
                               cached_path_search)
@@ -255,6 +257,86 @@ class TestAmbiguity:
         assert replay_taken_branches(len(doublets),
                                      ghost.taken_branches).doublets() == \
                doublets
+
+
+def collision_chain(diamonds, base=0x440000, stride=0x1000):
+    """Diamonds whose two arms fold identical footprints, so backward
+    search states merge at every diamond entry (the same footprint-XOR
+    collisions as the Section 6 memoization benchmark's chain)."""
+    b = ProgramBuilder("collision_chain", base=base)
+    for k in range(diamonds):
+        p = base + k * stride
+        if k:
+            b.at(p)
+        b.label(f"pad_{k}")
+        b.nop(10)
+        b.label(f"body_{k}")       # at p+0x28
+        b.mov_imm("rb", k & 1)
+        b.cmp("rb", imm=1)
+        b.jeq(f"arm_a_{k}")        # at p+0x30; fall-through jmp at p+0x34
+        b.jmp(f"arm_b_{k}")
+        b.at(p + 0x40)
+        b.label(f"arm_a_{k}")
+        b.jmp(f"join_a_{k}")
+        b.at(p + 0x50)
+        b.label(f"arm_b_{k}")
+        b.jmp(f"join_b_{k}")
+        last = k + 1 == diamonds
+        b.at(p + 0x80)
+        b.label(f"join_a_{k}")
+        b.jmp("exit_pad" if last else f"pad_{k + 1}")
+        b.at(p + 0x882)
+        b.label(f"join_b_{k}")
+        b.jmp("exit_body" if last else f"body_{k + 1}")
+    b.at(base + diamonds * stride)
+    b.label("exit_pad")
+    b.nop(10)
+    b.label("exit_body")
+    b.ret()
+    program = b.build()
+    for k in range(diamonds):
+        p = base + k * stride
+        assert branch_footprint(p + 0x30, p + 0x40) == \
+            branch_footprint(p + 0x34, p + 0x50)
+        assert branch_footprint(p + 0x40, p + 0x80) == \
+            branch_footprint(p + 0x50, p + 0x882)
+        assert branch_footprint(p + 0x80, p + stride) == \
+            branch_footprint(p + 0x882, p + stride + 0x28)
+    return program
+
+
+class TestExhaustiveTwin:
+    """The dead-state memo only prunes subtrees already proven empty, so
+    the memo-less twin must return exactly the same paths."""
+
+    def run_both(self, corrupt_top):
+        program = collision_chain(3)
+        taken = VictimHandle(Machine(RAPTOR_LAKE), program).taken_branches()
+        # One doublet wider than the path: the top doublet never reaches
+        # a branch's matchable window, so corrupting it leaves every
+        # route matching back to the entry, where verification fails.
+        doublets = replay_taken_branches(len(taken) + 1, taken).doublets()
+        if corrupt_top:
+            doublets[-1] = (doublets[-1] + 1) % 4
+        cfg = ControlFlowGraph(program)
+        runs = []
+        for search_class in (PathSearch, ExhaustivePathSearch):
+            search = search_class(cfg, mode="exact")
+            paths = search.search(doublets)
+            runs.append(([path.taken_branches for path in paths],
+                         search.pruned))
+        return taken, runs
+
+    def test_satisfiable_history(self):
+        taken, [(memo, _), (naive, naive_pruned)] = self.run_both(False)
+        assert memo == naive
+        assert taken in memo and len(memo) == 2 ** 3
+        assert naive_pruned == 0
+
+    def test_corrupted_top_doublet(self):
+        _, [(memo, memo_pruned), (naive, naive_pruned)] = self.run_both(True)
+        assert memo == naive == []
+        assert memo_pruned > 0 and naive_pruned == 0
 
 
 class TestMemos:

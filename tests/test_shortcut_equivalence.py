@@ -3,7 +3,7 @@
 implementations (DESIGN.md decision 5).
 
 The fast paths -- the LUT branch footprint, the binary-halving XOR fold,
-and the incrementally folded PHT index/tag registers -- each keep their
+and the PHT index/tag folds cached on the PHR value -- each keep their
 definitional loop twin (`*_reference`); the property tests here pin the
 pairs bit-identical over random inputs, random mutation interleavings,
 and every target machine configuration."""
@@ -14,7 +14,7 @@ from repro.cpu import Machine, RAPTOR_LAKE
 from repro.cpu.config import TARGET_MACHINES
 from repro.cpu.footprint import branch_footprint, branch_footprint_reference
 from repro.cpu.pht import TaggedTable
-from repro.cpu.phr import STEP_JOURNAL_DEPTH, PathHistoryRegister
+from repro.cpu.phr import PathHistoryRegister
 from repro.fuzz.twins import NaivePhrReader
 from repro.primitives import PhrReader, VictimHandle
 from repro.utils.bits import fold_xor, fold_xor_reference
@@ -38,6 +38,10 @@ def tables_for(config):
         )
         for length in config.pht_history_lengths
     ]
+
+
+def hashes(tables, phr, pc=0x40AC00):
+    return [(table.index(pc, phr), table.tag(pc, phr)) for table in tables]
 
 
 def assert_hashes_match_reference(table, pc, phr):
@@ -86,36 +90,56 @@ class TestFoldedHashEquivalence:
             for table in tables_for(config):
                 assert_hashes_match_reference(table, pc, phr)
 
-    def test_consecutive_taken_branches_advance_incrementally(self):
-        """Probing after every taken branch hits the O(1) journal
-        catch-up (`_advance_step`) on each step."""
+    def test_registers_take_turns_on_one_table(self):
+        """The fold cache keys on the PHR value, not the register object:
+        two registers alternating on one table each get their own folds,
+        and a distinct register holding an already-folded value reuses
+        them without a refold."""
         for config in TARGET_MACHINES:
-            phr = PathHistoryRegister(config.phr_capacity, value=0x5A5A)
+            first = PathHistoryRegister(config.phr_capacity, value=0x5A5A)
+            second = PathHistoryRegister(config.phr_capacity, value=0xA5A5)
             tables = tables_for(config)
+            for i in range(6):
+                for phr in (first, second):
+                    phr.update(0x41F2C4 + 4 * i, 0x41F300 + 64 * i)
+                    for table in tables:
+                        assert_hashes_match_reference(table, 0x40AC00, phr)
+            twin = first.copy()
             for table in tables:
-                assert_hashes_match_reference(table, 0x40AC00, phr)
-            for i in range(3 * STEP_JOURNAL_DEPTH):
-                phr.update(0x41F2C4 + 4 * i, 0x41F300 + 64 * i)
+                table.index(0x40AC00, first)
+                refolds = []
+                table._refold = refolds.append
+                assert_hashes_match_reference(table, 0x40AC00, twin)
+                assert refolds == []
+
+    def test_return_to_an_earlier_value(self):
+        """A PHR that comes back to a value by any route -- a restore, a
+        set_value, a set_doublet undoing another -- hashes exactly as it
+        did the first time."""
+        for config in TARGET_MACHINES:
+            phr = PathHistoryRegister(config.phr_capacity, value=0xF00D)
+            tables = tables_for(config)
+            snap = phr.snapshot()
+            expected = hashes(tables, phr)
+            for i in range(3):
+                phr.update(0x40B000 + 4 * i, 0x40B100)
                 for table in tables:
                     assert_hashes_match_reference(table, 0x40AC00, phr)
-
-    def test_journal_overflow_falls_back_to_refold(self):
-        """A consumer left more steps behind than the journal holds must
-        recompute from scratch -- and still agree with the reference."""
-        for config in TARGET_MACHINES:
-            phr = PathHistoryRegister(config.phr_capacity)
-            tables = tables_for(config)
+                if i % 2:
+                    phr.set_value(0xF00D)
+                else:
+                    phr.restore(snap)
+                assert hashes(tables, phr) == expected
+            original = phr.doublet(0)
+            phr.set_doublet(0, original ^ 1)
             for table in tables:
                 assert_hashes_match_reference(table, 0x40AC00, phr)
-            for i in range(STEP_JOURNAL_DEPTH + 3):
-                phr.update(0x40B000 + 4 * i, 0x40B100)
-            for table in tables:
-                assert_hashes_match_reference(table, 0x40AC00, phr)
+            phr.set_doublet(0, original)
+            assert hashes(tables, phr) == expected
 
     mutation_strategy = st.one_of(
-        # Weight plain updates heavily: runs of them are what exercise
-        # the incremental advance (and, past the journal depth, the
-        # overflow refold).
+        # Weight plain updates heavily: they are the commit path, and
+        # runs of them move the value far from any earlier one.
         st.tuples(st.just("update"), address_strategy, address_strategy),
         st.tuples(st.just("update"), address_strategy, address_strategy),
         st.tuples(st.just("update"), address_strategy, address_strategy),
@@ -138,8 +162,8 @@ class TestFoldedHashEquivalence:
         reference hashes on every machine configuration.
 
         The per-step `probe` flag varies how far each table's fold cache
-        falls behind, covering in-sync hits, 1..n-step journal catch-up,
-        journal overflow, and post-invalidation refolds."""
+        falls behind, covering in-sync hits, refolds after one or many
+        mutations, and mutations that leave the value unchanged."""
         for config in TARGET_MACHINES:
             phr = PathHistoryRegister(config.phr_capacity)
             tables = tables_for(config)
