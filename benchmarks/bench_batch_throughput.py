@@ -13,14 +13,20 @@ arms measure exactly that loop:
   per-trial counts (the bit-identity contract), and the batch arm must
   be >= 3x faster (asserted in quick *and* full mode; the full-mode
   target is 10x, recorded as measured).
-* **aes-run-batch** (asserted) -- the per-plaintext AES victim sweep in
-  the call shape of the service's ``aes_victim_signatures`` job:
-  ``BatchMachine.run_batch(memories, trace_cache=...)`` over blocks of
-  plaintexts, against one scalar ``Machine.run(..., speculate=False)``
-  per plaintext.  The trace cache is warmed once before timing, so
-  every timed replica is a cache hit (phase 1 fully elided, the trace
-  replays).  Both arms must return bit-identical signatures, and the
-  warm sweep carries the asserted >= 3x speedup.
+* **aes-run-batch** (asserted) -- the per-plaintext AES victim sweep
+  through ``BatchMachine.run_batch(memories, trace_cache=...)`` over
+  blocks of plaintexts, against one scalar
+  ``Machine.run(..., speculate=False)`` per plaintext.  The trace cache
+  is warmed once before timing, so every timed replica is a cache hit
+  (phase 1 fully elided, the trace replays).  Both arms must return
+  bit-identical signatures, and the warm sweep carries the asserted
+  >= 3x speedup.  The service's ``aes_victim_signatures`` job makes the
+  same ``run_batch`` call but builds a fresh
+  ``BatchMachine.from_snapshot`` per block; this arm reuses one batch
+  and restores its pristine snapshot per block.  Only this shape hits
+  the restore-source memo of :func:`repro.isa.identity.cache_digest`:
+  after the first block, the replicas' cache digests come from the
+  memo instead of being re-hashed per block.
 
 Each arm's speedup is the median of paired rounds
 (``conftest.paired_speedup``), with each side's median and IQR in

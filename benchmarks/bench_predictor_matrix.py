@@ -24,9 +24,11 @@ The third arm sweeps the read primitive through the vectorized batch
 engine (:func:`repro.primitives.matrix.measure_read_primitive_batch`)
 for *every* registered family -- the per-family batch backends of
 :mod:`repro.batch.backends` -- pins the per-replica accuracies
-bit-identical to the scalar sweep, and gates each family >= 3x over
-scalar.  The per-family ``*_read_batch_speedup`` keys land in the
-results record's ``speedups`` dict, where
+bit-identical to the scalar sweep on an untimed first call, and gates
+each family >= 3x over scalar.  Each speedup is the median of paired
+rounds (``conftest.paired_speedup``), with each arm's median and IQR in
+seconds recorded next to it.  The per-family ``*_read_batch_speedup``
+keys land in the results record's ``speedups`` dict, where
 ``benchmarks/check_regression.py`` tracks them across runs.
 """
 
@@ -39,7 +41,7 @@ from repro.primitives.matrix import (
     measure_write_primitive,
 )
 
-from conftest import operation_count, print_table
+from conftest import BENCH_QUICK, operation_count, paired_speedup, print_table
 
 #: Scaled workloads: (full, quick).
 READ_TRAIN_ROUNDS = operation_count(24, 10)
@@ -50,6 +52,8 @@ WRITE_PROBES = operation_count(16, 8)
 BATCH_REPLICAS = operation_count(128, 96)
 #: Floor asserted on every family's batch-over-scalar speedup.
 BATCH_SPEEDUP_FLOOR = 3.0
+#: Paired rounds behind each family's recorded speedup (the median ratio).
+SPEEDUP_ROUNDS = 5
 
 
 def run_read_matrix():
@@ -109,48 +113,32 @@ def test_predictor_matrix_write_primitive(benchmark):
         "write_primitive": [r.as_row() for r in results]}
 
 
-def _best_of_two(fn):
-    """(best wall-clock seconds, last return value) over two runs."""
-    best = float("inf")
-    value = None
-    for _ in range(2):
-        start = time.perf_counter()
-        value = fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, value
+def run_batch_speedup_matrix(extra_info):
+    """Per-family ``(model id, scalar seconds, batch seconds, speedup)``.
 
-
-def run_batch_speedup_matrix():
-    """Per-family (scalar seconds, batch seconds, results) sweep."""
+    Each family's batch sweep must be its scalar sweep, only faster:
+    an untimed first call pins replica r of the batch bit-identical to
+    the scalar run seeded ``0x5EC4 + r``.  The speedup is then the
+    median of paired rounds (``conftest.paired_speedup``).
+    """
     rows = []
     for config in PREDICTOR_LAB_MACHINES:
-        scalar_s, scalar_results = _best_of_two(lambda: [
-            measure_read_primitive(config,
-                                   train_rounds=READ_TRAIN_ROUNDS,
-                                   test_rounds=READ_TEST_ROUNDS,
-                                   seed=0x5EC4 + r)
-            for r in range(BATCH_REPLICAS)
-        ])
-        batch_s, batch_results = _best_of_two(
-            lambda: measure_read_primitive_batch(
+        model_id = config.predictor_model
+
+        def scalar():
+            return [measure_read_primitive(config,
+                                           train_rounds=READ_TRAIN_ROUNDS,
+                                           test_rounds=READ_TEST_ROUNDS,
+                                           seed=0x5EC4 + r)
+                    for r in range(BATCH_REPLICAS)]
+
+        def batch():
+            return measure_read_primitive_batch(
                 config, BATCH_REPLICAS,
                 train_rounds=READ_TRAIN_ROUNDS,
-                test_rounds=READ_TEST_ROUNDS))
-        rows.append((config, scalar_s, batch_s, scalar_results,
-                     batch_results))
-    return rows
+                test_rounds=READ_TEST_ROUNDS)
 
-
-def test_predictor_matrix_batch_speedup(benchmark):
-    rows = benchmark.pedantic(run_batch_speedup_matrix,
-                              rounds=1, iterations=1)
-    table = []
-    for config, scalar_s, batch_s, scalar_results, batch_results in rows:
-        model_id = config.predictor_model
-        # The batch sweep must be the scalar sweep, only faster: replica
-        # r of the batch is pinned bit-identical to the scalar run
-        # seeded ``0x5EC4 + r``.
+        scalar_results, batch_results = scalar(), batch()
         assert len(batch_results) == BATCH_REPLICAS
         for r, (scalar_r, batch_r) in enumerate(
                 zip(scalar_results, batch_results)):
@@ -158,20 +146,31 @@ def test_predictor_matrix_batch_speedup(benchmark):
                 f"{model_id} replica {r} diverged from scalar: "
                 f"batch={batch_r.accuracy:.4f} "
                 f"scalar={scalar_r.accuracy:.4f}")
-        speedup = scalar_s / batch_s
-        key = f"{model_id.replace('-', '_')}_read_batch_speedup"
-        benchmark.extra_info[key] = speedup
-        table.append([model_id, f"{scalar_s * 1e3:.1f}",
-                      f"{batch_s * 1e3:.1f}", f"{speedup:.2f}x"])
+        prefix = f"{model_id.replace('-', '_')}_read_batch"
+        speedup = paired_speedup(batch, scalar, extra_info, prefix,
+                                 SPEEDUP_ROUNDS)
+        extra_info[f"{prefix}_speedup"] = speedup
+        rows.append((model_id, extra_info[f"{prefix}_slow_median_s"],
+                     extra_info[f"{prefix}_fast_median_s"], speedup))
+    return rows
+
+
+def test_predictor_matrix_batch_speedup(benchmark):
+    start = time.perf_counter()
+    rows = benchmark.pedantic(run_batch_speedup_matrix,
+                              args=(benchmark.extra_info,),
+                              rounds=1, iterations=1)
+    wall_s = time.perf_counter() - start
     print_table(
         f"Cross-architecture matrix -- batch vs scalar read sweep "
-        f"(n={BATCH_REPLICAS})",
+        f"(n={BATCH_REPLICAS}, median of {SPEEDUP_ROUNDS} paired rounds, "
+        f"{'quick' if BENCH_QUICK else 'full'} mode, {wall_s:.1f}s wall)",
         ["backend", "scalar ms", "batch ms", "speedup"],
-        table,
+        [[model_id, f"{scalar_s * 1e3:.1f}", f"{batch_s * 1e3:.1f}",
+          f"{speedup:.2f}x"]
+         for model_id, scalar_s, batch_s, speedup in rows],
     )
-    for config, scalar_s, batch_s, _, _ in rows:
-        speedup = scalar_s / batch_s
+    for model_id, _, _, speedup in rows:
         assert speedup >= BATCH_SPEEDUP_FLOOR, (
-            f"{config.predictor_model} batch backend is only "
-            f"{speedup:.2f}x over scalar "
+            f"{model_id} batch backend is only {speedup:.2f}x over scalar "
             f"(floor {BATCH_SPEEDUP_FLOOR:.1f}x)")

@@ -42,10 +42,6 @@ class BranchTargetBuffer:
         self._tag_mask = mask(tag_bits)
         self.hits = 0
         self.misses = 0
-        #: Mutation epoch (see :attr:`DataCache.mutations`): bumped by
-        #: every state-changing method, including :meth:`predict`, whose
-        #: LRU move and hit/miss accounting are snapshot-visible state.
-        self.mutations = 0
         #: Dirty-set tracking for fast consecutive restores from the
         #: same snapshot object (see :meth:`DataCache.restore`).
         self._dirty: set = set()
@@ -60,7 +56,6 @@ class BranchTargetBuffer:
 
     def predict(self, pc: int) -> Optional[int]:
         """Predicted target of the branch at ``pc``, or None on a miss."""
-        self.mutations += 1
         wanted = self._tag(pc)
         index = self._index(pc)
         self._dirty.add(index)
@@ -77,7 +72,6 @@ class BranchTargetBuffer:
     def update(self, pc: int, target: int) -> None:
         """Record the resolved target for the branch at ``pc``."""
         # _index/_tag inlined: update runs on every committed taken branch.
-        self.mutations += 1
         index = (pc >> self.index_low_bit) & self._index_mask
         wanted = ((pc >> self._tag_shift) & self._tag_mask) ^ (pc & 0b11111)
         self._dirty.add(index)
@@ -93,7 +87,6 @@ class BranchTargetBuffer:
 
     def flush(self) -> None:
         """Drop all entries."""
-        self.mutations += 1
         self._dirty_all = True
         self._sets = [[] for _ in range(self.sets)]
 
@@ -118,7 +111,6 @@ class BranchTargetBuffer:
         the sets mutated since the previous restore (see
         :meth:`DataCache.restore`).
         """
-        self.mutations += 1
         entries, self.hits, self.misses = snap
         if snap is self._restore_source and not self._dirty_all:
             indices = tuple(self._dirty)

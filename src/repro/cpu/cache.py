@@ -54,12 +54,6 @@ class DataCache:
         self._sets: List[List[int]] = [[] for _ in range(sets)]
         self.hits = 0
         self.misses = 0
-        #: Mutation epoch: bumped by every state-changing public method
-        #: (accesses, flushes, restores).  Not part of the snapshot --
-        #: it is identity metadata that lets digest consumers (the
-        #: machine digest cache, the trace-cache key) memoize hashes of
-        #: this cache's state and invalidate on any mutation.
-        self.mutations = 0
         #: line -> set index memo.  The fold is pure, and workloads hammer
         #: a bounded working set of lines (probe arrays, tables), so the
         #: memo converges quickly and turns the per-access fold into one
@@ -99,7 +93,6 @@ class DataCache:
         """Access ``address``: returns the latency and fills the line."""
         if self._pending is not None:  # inline: one call per load
             self._apply_pending()
-        self.mutations += 1
         line = address >> self._offset_bits
         index = self._index_memo.get(line)
         if index is None:
@@ -140,7 +133,6 @@ class DataCache:
         evictions, and counters), minus the per-call dispatch.
         """
         self._apply_pending()
-        self.mutations += 1
         hit_positions = self._fill(resolved)
         results = [False] * len(resolved)
         for position in hit_positions:
@@ -153,13 +145,12 @@ class DataCache:
         """Reload each probe line in order; the positions that hit, ascending.
 
         ``resolved`` comes from :meth:`resolve_lines` over distinct
-        lines and ``groups`` is :func:`group_by_set` of it.  Counters,
-        ``mutations`` and every later observation match
-        :meth:`access_resolved` of ``resolved``; only the fills may be
-        deferred (see the module docstring).
+        lines and ``groups`` is :func:`group_by_set` of it.  Counters and
+        every later observation match :meth:`access_resolved` of
+        ``resolved``; only the fills may be deferred (see the module
+        docstring).
         """
         self._apply_pending()
-        self.mutations += 1
         hit_positions = self._reload(resolved, groups)
         self.hits += len(hit_positions)
         self.misses += len(resolved) - len(hit_positions)
@@ -243,7 +234,6 @@ class DataCache:
     def flush_resolved(self, resolved) -> None:
         """Evict each pre-resolved line (batched ``clflush`` loop)."""
         self._apply_pending()
-        self.mutations += 1
         sets = self._sets
         dirty = self._dirty.add
         for line, index in resolved:
@@ -261,7 +251,6 @@ class DataCache:
     def flush(self, address: int) -> None:
         """Evict the line holding ``address`` (the ``clflush`` primitive)."""
         self._apply_pending()
-        self.mutations += 1
         line = self._line(address)
         index = self._index(line)
         self._dirty.add(index)
@@ -273,7 +262,6 @@ class DataCache:
         """Evict everything (``wbinvd``)."""
         # Owed fills would be evicted at once: dropping them is the same.
         self._pending = None
-        self.mutations += 1
         self._dirty_all = True
         self._sets = [[] for _ in range(self.sets)]
 
@@ -301,7 +289,6 @@ class DataCache:
         fill is dropped: it never touched the sets.
         """
         self._pending = None
-        self.mutations += 1
         lines, self.hits, self.misses = snap
         sets = self._sets
         if snap is self._restore_source and not self._dirty_all:
@@ -324,11 +311,18 @@ class DataCache:
         self._restore_source = snap
         self._dirty_all = False
         self._dirty.clear()
-        #: Epoch value right after this restore: while ``mutations``
-        #: still equals it, the cache state IS the snapshot's state,
-        #: which lets digest consumers memoize per snapshot object
-        #: instead of re-hashing after every restore.
-        self._restored_epoch = self.mutations
+
+    def restored_from(self):
+        """The snapshot this cache's state still equals, or ``None``.
+
+        That is the last :meth:`restore`'s snapshot object while no set
+        has been marked dirty, no :meth:`flush_all` has run and no
+        reload fill is pending since; every state change does one of
+        the three.  Digest consumers memoize per snapshot object on it.
+        """
+        if self._dirty or self._dirty_all or self._pending is not None:
+            return None
+        return self._restore_source
 
 
 def group_by_set(resolved) -> Dict[int, tuple]:

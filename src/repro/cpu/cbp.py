@@ -80,17 +80,6 @@ class ConditionalBranchPredictor:
         #: installs a deliberate perturbation here and asserts the fuzzer
         #: finds it; production code must never set this.
         self.train_fault: Optional[object] = None
-        #: Own share of the mutation epoch (see :attr:`DataCache.mutations`).
-        #: ``update`` writes provider counters and usefulness bits in place
-        #: -- mutations the component counters cannot see -- so the CBP
-        #: keeps its own count and :attr:`mutations` aggregates all three.
-        self._mutations = 0
-
-    @property
-    def mutations(self) -> int:
-        """Aggregate mutation epoch over the CBP and its components."""
-        return (self._mutations + self.base.mutations
-                + sum(table.mutations for table in self.tables))
 
     # ----- prediction -----------------------------------------------------
 
@@ -123,7 +112,6 @@ class ConditionalBranchPredictor:
         the lookup so its stashed table keys no longer apply -- it is
         recomputed (the lookup is deterministic, so this is safe).
         """
-        self._mutations += 1
         if (prediction is None or prediction.phr is not phr
                 or prediction.phr_value != phr._value):
             prediction = self.predict(pc, phr)
@@ -167,7 +155,6 @@ class ConditionalBranchPredictor:
 
     def flush(self) -> None:
         """Drop all predictor state (the Section 10 PHT-flush mitigation)."""
-        self._mutations += 1
         self.base.flush()
         for table in self.tables:
             table.flush()
@@ -179,7 +166,6 @@ class ConditionalBranchPredictor:
 
     def restore(self, snap: tuple) -> None:
         """Restore a :meth:`snapshot` (diff-based, see the components)."""
-        self._mutations += 1
         base_snap, table_snaps = snap
         self.base.restore(base_snap)
         for table, table_snap in zip(self.tables, table_snaps):

@@ -27,8 +27,6 @@ class IndirectBranchPredictor:
         #: Set by IBRS: predictions made in a lower privilege mode are not
         #: consumed in a higher one.
         self.restricted = False
-        #: Mutation epoch (see :attr:`DataCache.mutations`).
-        self.mutations = 0
 
     def _key(self, pc: int, phr: PathHistoryRegister) -> Tuple[int, int]:
         history = fold_xor(phr.low_bits(self.history_bits),
@@ -41,7 +39,6 @@ class IndirectBranchPredictor:
 
     def update(self, pc: int, phr: PathHistoryRegister, target: int) -> None:
         """Record a resolved indirect target."""
-        self.mutations += 1
         if len(self._entries) >= self.max_entries:
             # Evict an arbitrary (oldest-inserted) entry.
             self._entries.pop(next(iter(self._entries)))
@@ -50,12 +47,10 @@ class IndirectBranchPredictor:
     def barrier(self) -> None:
         """IBPB: prevent pre-barrier software from steering post-barrier
         indirect predictions -- modelled as a full flush of the IBP."""
-        self.mutations += 1
         self._entries.clear()
 
     def flush(self) -> None:
         """Drop all entries."""
-        self.mutations += 1
         self._entries.clear()
 
     def populated_entries(self) -> int:
@@ -70,7 +65,6 @@ class IndirectBranchPredictor:
 
     def restore(self, snap: tuple) -> None:
         """Restore a :meth:`snapshot`."""
-        self.mutations += 1
         entries, self.restricted = snap
         if len(self._entries) != len(entries) or (
                 tuple(self._entries.items()) != entries):

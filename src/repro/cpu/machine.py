@@ -222,59 +222,6 @@ class Machine:
         #: invariant oracle and commit-stream capture here.
         self.branch_observer: Optional[
             Callable[[int, BranchKind, bool], None]] = None
-        #: Machine-level share of the mutation epoch: bumped by whole-
-        #: machine operations (:meth:`run`, :meth:`restore`, :meth:`touch`)
-        #: whose component-level footprint would be awkward to enumerate.
-        #: See :attr:`state_epoch`.
-        self._mutation_epoch = 0
-
-    # ------------------------------------------------------------------
-    # mutation epoch
-    # ------------------------------------------------------------------
-
-    def touch(self) -> None:
-        """Declare an out-of-band state mutation.
-
-        Callers that poke component internals directly (tests, exotic
-        experiments) bump the epoch through here so memoized digests of
-        this machine's state (:func:`repro.isa.identity.machine_digest`)
-        cannot serve a stale value.
-        """
-        self._mutation_epoch += 1
-
-    @property
-    def state_epoch(self) -> Optional[tuple]:
-        """An identity token for the machine's current snapshot-visible state.
-
-        Two reads returning equal tuples guarantee no state-changing
-        method ran in between -- or, for the history registers, whose
-        value is their whole state, that each holds the same value -- so
-        any value derived from the snapshot (its digest, above all) is
-        still valid.  The converse is not promised: a restore to
-        identical state still changes the epoch.
-
-        Returns ``None`` -- disabling such memoization -- when a component
-        has been replaced by one without a mutation counter (e.g. the
-        hardened predictors of :mod:`repro.analysis.secure_predictors`
-        wrap ``machine.cbp``); correctness degrades to a full recompute,
-        never to a stale digest.
-        """
-        cbp_mutations = getattr(self.cbp, "mutations", None)
-        if cbp_mutations is None:
-            return None
-        perf = self.perf
-        return (
-            self._mutation_epoch,
-            cbp_mutations,
-            self.btb.mutations,
-            self.ibp.mutations,
-            self.cache.mutations,
-            (perf.instructions, perf.conditional_branches,
-             perf.taken_branches, perf.returns, perf.indirect_branches),
-            tuple((context.phr.value, context.ras.mutations,
-                   context.domain) for context in self.threads),
-            self.ibrs_enabled,
-        )
 
     # ------------------------------------------------------------------
     # state access
@@ -345,7 +292,6 @@ class Machine:
                 f"snapshot is for a {snap.phr_capacity}-doublet PHR, "
                 f"this machine has {self.config.phr_capacity}"
             )
-        self._mutation_epoch += 1
         self.cbp.restore(snap.cbp)
         self.btb.restore(snap.btb)
         self.ibp.restore(snap.ibp)
@@ -494,9 +440,6 @@ class Machine:
         state/memory and ``entry=execution.next_pc`` (the machine-side
         predictor state simply carries over).
         """
-        # Runs mutate state through too many paths (transient loads, perf
-        # side counters) to rely on component epochs alone.
-        self._mutation_epoch += 1
         context = self.threads[thread]
         hooks = _MachineHooks(self, context, speculate)
         interpreter = self._interpreter(program, hooks)

@@ -19,7 +19,6 @@ as ``machine.cbp``.  Protocol::
     flush()
     snapshot() -> builtins-only value; restore(snap)
     populated_entries() -> int
-    mutations -> int                     # monotonic mutation epoch
     structural_violations(deep=False) -> List[str]   # optional; the
         fuzz oracle calls it when present instead of its built-in
         TAGE-shaped walk
@@ -36,8 +35,8 @@ installed as ``ThreadContext.phr``.  Protocol::
     snapshot() -> int; restore(snap); copy()
 
 ``value`` is the register's whole state: the predictor's stashed
-lookups and the machine's state epoch key on it, so a register needs
-no mutation counter.
+lookups and the fold caches key on it.  No component keeps a
+mutation count: content digests hash the snapshot (ARCHITECTURE.md §12).
 
 The *semantics* of the two commit hooks are the family's identity: the
 Intel PHR folds a footprint on taken branches only, the M1-style PHR

@@ -65,10 +65,6 @@ class BasePredictor:
         #: instead of scanning all 2^index_bits slots; entries are added
         #: once per index (on lazy creation), never on the hot update path.
         self._populated: set = set()
-        #: Mutation epoch (see :attr:`DataCache.mutations`).  ``counter_at``
-        #: bumps it because it hands out a mutable counter; the CBP's own
-        #: epoch covers the in-place counter writes of its update path.
-        self.mutations = 0
 
     def index(self, pc: int) -> int:
         """Set index for ``pc`` -- simply PC[index_bits-1:0]."""
@@ -76,7 +72,6 @@ class BasePredictor:
 
     def counter_at(self, pc: int) -> SaturatingCounter:
         """The (lazily created) counter for ``pc``."""
-        self.mutations += 1
         idx = pc & self._index_mask
         counter = self._counters[idx]
         if counter is None:
@@ -99,7 +94,6 @@ class BasePredictor:
     def update(self, pc: int, taken: bool) -> None:
         """Train toward the observed outcome."""
         # counter_at, inlined: update runs on every committed branch.
-        self.mutations += 1
         idx = pc & self._index_mask
         counter = self._counters[idx]
         if counter is None:
@@ -109,7 +103,6 @@ class BasePredictor:
 
     def flush(self) -> None:
         """Drop all state (mitigation experiments)."""
-        self.mutations += 1
         self._counters = [None] * (1 << self.index_bits)
         self._populated.clear()
 
@@ -138,7 +131,6 @@ class BasePredictor:
         are rewritten in place (keeping object identity), and missing ones
         are recreated.
         """
-        self.mutations += 1
         counters = self._counters
         for idx in self._populated - snap.keys():
             counters[idx] = None
@@ -177,11 +169,6 @@ class TaggedTable:
         #: Indices of non-empty sets (for sparse snapshot/restore); grown
         #: in :meth:`allocate`, cleared by :meth:`flush`/:meth:`restore`.
         self._populated: set = set()
-        #: Mutation epoch (see :attr:`DataCache.mutations`).  ``probe``
-        #: does not bump it: probe only touches the derived fold caches,
-        #: which are not snapshot state.  The CBP's own epoch covers the
-        #: in-place counter/useful writes of its update path.
-        self.mutations = 0
 
         # ----- folded-history machinery ----------------------------------
         window = self.history_bits
@@ -322,7 +309,6 @@ class TaggedTable:
         Otherwise the victim is the least-useful way; surviving ways have
         their usefulness decayed, the standard TAGE anti-ping-pong measure.
         """
-        self.mutations += 1
         if key is not None:
             index, tag = key
             if tag is None:
@@ -359,7 +345,6 @@ class TaggedTable:
 
     def flush(self) -> None:
         """Drop all entries (mitigation experiments)."""
-        self.mutations += 1
         self._sets = [[] for _ in range(self.sets)]
         self._populated.clear()
 
@@ -391,7 +376,6 @@ class TaggedTable:
         rebuilt, so a restore after light perturbation costs roughly the
         perturbation, not the full table.
         """
-        self.mutations += 1
         sets = self._sets
         for index in self._populated - snap.keys():
             sets[index] = []

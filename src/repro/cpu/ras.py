@@ -21,12 +21,9 @@ class ReturnAddressStack:
         self._live = 0
         self.overflows = 0
         self.underflows = 0
-        #: Mutation epoch (see :attr:`DataCache.mutations`).
-        self.mutations = 0
 
     def push(self, return_address: int) -> None:
         """Record the return address of a call."""
-        self.mutations += 1
         if self._entries[self._top] is not None:
             self.overflows += 1
         else:
@@ -44,7 +41,6 @@ class ReturnAddressStack:
         (real hardware redirects from the BTB/fall-through and usually
         mispredicts).
         """
-        self.mutations += 1
         if self._live == 0:
             self.underflows += 1
             return None
@@ -56,7 +52,6 @@ class ReturnAddressStack:
 
     def flush(self) -> None:
         """Drop all entries."""
-        self.mutations += 1
         self._entries = [None] * self.depth
         self._top = 0
         self._live = 0
@@ -70,6 +65,5 @@ class ReturnAddressStack:
 
     def restore(self, snap: tuple) -> None:
         """Restore a :meth:`snapshot`."""
-        self.mutations += 1
         entries, self._top, self._live, self.overflows, self.underflows = snap
         self._entries = list(entries)

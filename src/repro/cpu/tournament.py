@@ -22,7 +22,7 @@ Attack-relevant semantics, stated up front:
   primitives exploit.
 
 All three tables reuse :class:`~repro.cpu.pht.BasePredictor` (lazily
-populated counters, sparse snapshots, mutation epochs), fed a
+populated counters, sparse snapshots), fed a
 component-specific index in place of a raw PC.
 """
 
@@ -164,16 +164,6 @@ class TournamentPredictor:
         #: Chooser counters: value >= threshold means "trust gshare".
         self.chooser = BasePredictor(index_bits=local_index_bits,
                                      counter_bits=counter_bits)
-        #: Own share of the mutation epoch (chooser training writes
-        #: counters the component epochs already see, but the aggregate
-        #: keeps the accounting uniform with the CBP's).
-        self._mutations = 0
-
-    @property
-    def mutations(self) -> int:
-        """Aggregate mutation epoch over all three tables."""
-        return (self._mutations + self.local.mutations
-                + self.gshare.mutations + self.chooser.mutations)
 
     def gshare_index(self, pc: int, history: GlobalHistoryRegister) -> int:
         """The gshare table index: folded GHR XOR branch PC."""
@@ -205,7 +195,6 @@ class TournamentPredictor:
     def update(self, pc: int, history: GlobalHistoryRegister, taken: bool,
                prediction: Optional[TournamentPrediction] = None) -> None:
         """Train all three tables with a resolved branch outcome."""
-        self._mutations += 1
         if (prediction is None or prediction.history is not history
                 or prediction.history_value != history._value):
             prediction = self.predict(pc, history)
@@ -230,7 +219,6 @@ class TournamentPredictor:
 
     def flush(self) -> None:
         """Drop all three tables (this family's flush mitigation)."""
-        self._mutations += 1
         self.local.flush()
         self.gshare.flush()
         self.chooser.flush()
@@ -242,7 +230,6 @@ class TournamentPredictor:
 
     def restore(self, snap: tuple) -> None:
         """Restore a :meth:`snapshot` (diff-based, see BasePredictor)."""
-        self._mutations += 1
         local_snap, gshare_snap, chooser_snap = snap
         self.local.restore(local_snap)
         self.gshare.restore(gshare_snap)

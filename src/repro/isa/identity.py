@@ -127,23 +127,8 @@ def machine_digest(machine) -> str:
     divergence -- however small -- separates them.  Used as the root-state
     component of replay store scopes: checkpoints built from different
     starting states must never share a content address.
-
-    Memoized against :attr:`Machine.state_epoch`: service request loops
-    digest the same untouched machine once per job, and serializing a
-    full trained snapshot for every call was the store's hottest single
-    line.  Any state mutation moves the epoch and forces a recompute;
-    machines without an epoch (duck-typed stand-ins, machines whose
-    predictors were swapped out) always take the full recompute path.
     """
-    epoch = getattr(machine, "state_epoch", None)
-    if epoch is not None:
-        memo = getattr(machine, "_digest_cache", None)
-        if memo is not None and memo[0] == epoch:
-            return memo[1]
-    value = hashlib.sha256(machine.snapshot().to_bytes()).hexdigest()
-    if epoch is not None:
-        machine._digest_cache = (epoch, value)
-    return value
+    return hashlib.sha256(machine.snapshot().to_bytes()).hexdigest()
 
 
 def _digest_memory(digest, memory: Memory) -> None:
@@ -190,36 +175,25 @@ def cache_digest(cache) -> str:
 
     Load latencies (hit vs miss) land in ``CpuState.reg_latency``, so a
     trace captured against one cache state is only valid for replicas in
-    the same cache state.  The digest is memoized against the cache's
-    mutation counter, so the common trial-loop shape -- restore to a
-    pristine (usually empty) cache before every block -- pays the hash
-    once per restore, not once per replica.
+    the same cache state.  While the cache still holds the state of
+    the snapshot it was last restored from
+    (:meth:`~repro.cpu.cache.DataCache.restored_from`), the digest is
+    memoized per snapshot object, so a loop that restores one pristine
+    snapshot before every block hashes it once, not once per block.
     """
-    epoch = getattr(cache, "mutations", None)
-    if epoch is not None:
+    source = cache.restored_from()
+    if source is not None:
         memo = getattr(cache, "_digest_memo", None)
-        if memo is not None and memo[0] == epoch:
+        if memo is not None and memo[0] is source:
             return memo[1]
-        # Right after a restore the state equals the restored snapshot's
-        # state, so the digest only depends on the snapshot object --
-        # the restore-per-trial loop hashes it once, not once per trial.
-        if getattr(cache, "_restored_epoch", None) == epoch:
-            source_memo = getattr(cache, "_source_digest_memo", None)
-            if (source_memo is not None
-                    and source_memo[0] is cache._restore_source):
-                value = source_memo[1]
-                cache._digest_memo = (epoch, value)
-                return value
     lines, hits, misses = cache.snapshot()
     digest = hashlib.sha256()
     digest.update(f"{hits}:{misses};".encode("utf-8"))
     for index in sorted(lines):
         digest.update(f"{index}={lines[index]};".encode("utf-8"))
     value = digest.hexdigest()
-    if epoch is not None:
-        cache._digest_memo = (epoch, value)
-        if getattr(cache, "_restored_epoch", None) == epoch:
-            cache._source_digest_memo = (cache._restore_source, value)
+    if source is not None:
+        cache._digest_memo = (source, value)
     return value
 
 

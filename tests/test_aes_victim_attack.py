@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.aes import AesSpectreAttack, EncryptionOracle, ecb_encrypt
+from repro.aes import (AesSpectreAttack, AmbiguousChannelError,
+                       EncryptionOracle, LeakResult, ecb_encrypt)
 from repro.aes.victim import AesVictim
 from repro.cpu import Machine, RAPTOR_LAKE
 from repro.isa.interpreter import CpuState
@@ -125,6 +126,53 @@ class TestAttack:
         plaintext = DeterministicRng(6).bytes(16)
         assert attack.two_round_oracle(plaintext) == \
                attack.ground_truth_rrc(plaintext, 1)
+
+
+class TestRetryBudget:
+    """``two_round_leak`` against a channel that never disambiguates."""
+
+    @staticmethod
+    def ambiguous_attack(use_checkpoints, budget=3):
+        attack = AesSpectreAttack(Machine(RAPTOR_LAKE), KEY,
+                                  retry_budget=budget,
+                                  use_checkpoints=use_checkpoints)
+        calls = []
+
+        def leak_reduced_round(plaintext, exit_iteration,
+                               from_checkpoint=None):
+            leak = LeakResult(recovered=[-1] + [0] * 15,
+                              ciphertext=bytes(16), coverage=15 / 16)
+            calls.append((exit_iteration, from_checkpoint, leak))
+            return leak
+
+        attack.leak_reduced_round = leak_reduced_round
+        return attack, calls
+
+    @pytest.mark.parametrize("use_checkpoints", [False, True])
+    def test_budget_runs_out_with_the_last_attempt(self, use_checkpoints):
+        attack, calls = self.ambiguous_attack(use_checkpoints)
+        with pytest.raises(AmbiguousChannelError) as excinfo:
+            attack.two_round_leak(bytes(16))
+        error = excinfo.value
+        assert error.attempts == attack.retry_budget == len(calls) == 3
+        assert error.last is calls[-1][2] and error.last.attempts == 3
+        assert error.plaintext == bytes(16)
+        assert [call[:2] for call in calls] == [
+            (1, use_checkpoints), (1, False), (1, False)]
+
+    def test_explicit_budget_overrides_the_attack_budget(self):
+        attack, calls = self.ambiguous_attack(True)
+        with pytest.raises(AmbiguousChannelError) as excinfo:
+            attack.two_round_leak(bytes(16), retry_budget=5)
+        assert excinfo.value.attempts == len(calls) == 5
+
+    def test_zero_budget_is_rejected(self):
+        attack, calls = self.ambiguous_attack(False)
+        with pytest.raises(ValueError, match="retry budget"):
+            attack.two_round_leak(bytes(16), retry_budget=0)
+        with pytest.raises(ValueError, match="retry budget"):
+            AesSpectreAttack(Machine(RAPTOR_LAKE), KEY, retry_budget=0)
+        assert calls == []
 
 
 class TestKeyRecoveryIntegration:

@@ -5,12 +5,16 @@ hold a probe line and owes the fills until the cache is read again
 (ARCHITECTURE.md §2); :class:`repro.fuzz.twins.EagerDataCache` fills
 every probe line at once.  Random operation sequences run through both,
 and every return value, counter, snapshot, LRU order and
-``cache_digest`` must match; then whole AES leaks run on a production
-machine and on one carrying the eager cache.
+``cache_digest`` must match, and ``cache_digest`` must equal a
+memo-free hash of the snapshot; then whole AES leaks run on a
+production machine and on one carrying the eager cache.
 """
 
 from __future__ import annotations
 
+import hashlib
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aes.trials import AesAttackSpec, build_attack
@@ -33,7 +37,20 @@ def scenarios(draw):
     ops = draw(st.lists(st.tuples(st.sampled_from(OPS),
                                   st.integers(0, 1 << 16)),
                         min_size=1, max_size=80))
-    return sets, ways, stride, entries, [s * 64 for s in strays], ops
+    # Digesting applies a pending fill, so half the scenarios digest
+    # after every op and half leave pending fills to the next op.
+    digest_each_op = draw(st.booleans())
+    return (sets, ways, stride, entries, [s * 64 for s in strays], ops,
+            digest_each_op)
+
+
+def _memo_free_digest(cache) -> str:
+    """:func:`cache_digest`'s hash of ``cache.snapshot()``, with no memo."""
+    lines, hits, misses = cache.snapshot()
+    digest = hashlib.sha256(f"{hits}:{misses};".encode("utf-8"))
+    for index in sorted(lines):
+        digest.update(f"{index}={lines[index]};".encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _step(cache, op, arg, probe, addresses, snapshots):
@@ -58,7 +75,7 @@ def _step(cache, op, arg, probe, addresses, snapshots):
     if op == "contains":
         return cache.contains(addresses[arg % len(addresses)])
     if op == "counters":
-        return cache.hits, cache.misses, cache.mutations
+        return cache.hits, cache.misses
     if op == "populated":
         return cache.populated_lines()
     if op == "access_resolved":
@@ -71,7 +88,7 @@ def _step(cache, op, arg, probe, addresses, snapshots):
 @settings(max_examples=400, deadline=None)
 @given(scenarios())
 def test_lazy_reload_matches_eager(scenario):
-    sets, ways, stride, entries, strays, ops = scenario
+    sets, ways, stride, entries, strays, ops, digest_each_op = scenario
     lazy = DataCache(sets=sets, ways=ways)
     eager = EagerDataCache(sets=sets, ways=ways)
     base = 0x2000_0000
@@ -84,8 +101,12 @@ def test_lazy_reload_matches_eager(scenario):
         got = _step(lazy, op, arg, probe, addresses, lazy_snaps)
         want = _step(eager, op, arg, probe, addresses, eager_snaps)
         assert got == want, (step, op)
-        assert ((lazy.hits, lazy.misses, lazy.mutations)
-                == (eager.hits, eager.misses, eager.mutations)), (step, op)
+        assert ((lazy.hits, lazy.misses)
+                == (eager.hits, eager.misses)), (step, op)
+        if digest_each_op:
+            for cache in (lazy, eager):
+                assert (cache_digest(cache)
+                        == _memo_free_digest(cache)), (step, op)
     assert lazy.snapshot() == eager.snapshot()
     assert lazy._sets == eager._sets
     assert cache_digest(lazy) == cache_digest(eager)
@@ -106,6 +127,39 @@ def test_reload_after_restore_writes_no_set():
     assert (cache.hits, cache.misses) == (1, 4096)
     cache.restore(snap)
     assert cache.populated_lines() == 0
+
+
+@pytest.mark.parametrize("entry_point", [
+    lambda cache, resolved, groups: cache.access(0x2000_0000 + 3 * 4096),
+    lambda cache, resolved, groups: cache.access_resolved(resolved[:5]),
+    lambda cache, resolved, groups: cache.reload(resolved, groups),
+    lambda cache, resolved, groups: cache.flush(0x2000_0000),
+    lambda cache, resolved, groups: cache.flush_resolved(resolved[:5]),
+    lambda cache, resolved, groups: cache.flush_all(),
+], ids=["access", "access_resolved", "reload", "flush", "flush_resolved",
+        "flush_all"])
+def test_digest_after_restore_never_goes_stale(entry_point):
+    """The restore-source memo serves the restored snapshot's digest
+    only until the next state change, whichever entry point makes it."""
+    cache = DataCache(sets=16, ways=4)
+    resolved = tuple(cache.resolve_lines(0x2000_0000 + index * 4096
+                                         for index in range(64)))
+    groups = group_by_set(resolved)
+    for index in (0, 1, 2, 40):
+        cache.access(0x2000_0000 + index * 4096)
+    snap = cache.snapshot()
+    cache.restore(snap)
+    pristine = cache_digest(cache)
+    assert pristine == _memo_free_digest(cache)
+    for _ in range(2):
+        cache.restore(snap)
+        assert cache.restored_from() is snap
+        assert cache_digest(cache) == pristine
+        entry_point(cache, resolved, groups)
+        assert cache.restored_from() is None
+        after = cache_digest(cache)
+        assert after == _memo_free_digest(cache)
+        assert after != pristine
 
 
 def _eager_machine_attack(key: bytes):

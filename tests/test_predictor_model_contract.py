@@ -16,7 +16,10 @@ on:
 * **deterministic replay** -- the fixed
   :func:`~repro.cpu.model.conformance_workload` branch stream drives
   two fresh machines to bit-identical state, and the per-commit
-  observer stream matches commit for commit.
+  observer stream matches commit for commit;
+* **the rest of the protocol** -- ``observe`` equals ``predict`` then
+  ``update``, ``flush`` empties the predictor, and the history's
+  ``copy``, ``clear`` and ``set_value`` do what they say.
 
 Plus the registry/selection plumbing and the cross-family restore
 rejection (:class:`~repro.cpu.serialize.SnapshotFormatError`) that keeps
@@ -147,12 +150,50 @@ class TestConformanceContract:
         assert fingerprints[0] == fingerprints[1]
         assert streams[0]  # the workload actually committed branches
 
-    def test_state_epoch_moves_with_commits(self, config, model_id):
+    def test_observe_matches_predict_then_update(self, config, model_id):
+        observer, twin = Machine(config), Machine(config)
+        history, twin_history = observer.phr(), twin.phr()
+        for kind, pc, target, taken in conformance_workload():
+            if kind == "conditional":
+                prediction = twin.cbp.predict(pc, twin_history)
+                twin.cbp.update(pc, twin_history, taken, prediction)
+                assert (observer.cbp.observe(pc, history, taken)
+                        == (prediction.taken != taken)), pc
+                history.on_conditional(pc, target, taken)
+                twin_history.on_conditional(pc, target, taken)
+            else:
+                history.on_taken(pc, target)
+                twin_history.on_taken(pc, target)
+        assert observer.cbp.snapshot() == twin.cbp.snapshot()
+
+    def test_flush_empties_the_predictor(self, config, model_id):
         machine = Machine(config)
-        epoch = machine.state_epoch
-        assert epoch is not None
-        machine.observe_conditional(0x40_0000, 0x40_0040, True)
-        assert machine.state_epoch != epoch
+        drive(machine)
+        assert machine.cbp.populated_entries() > 0
+        machine.cbp.flush()
+        assert machine.cbp.populated_entries() == 0
+
+    def test_history_copy_is_equal_and_independent(self, config, model_id):
+        machine = Machine(config)
+        drive(machine)
+        history = machine.phr()
+        value = history.value
+        copy = history.copy()
+        assert copy == history and copy is not history
+        assert type(copy) is type(history)
+        copy.on_conditional(0x40_0000, 0x40_0040, True)
+        assert copy.value != value
+        assert history.value == value
+
+    def test_history_clear_and_set_value_move_value(self, config, model_id):
+        machine = Machine(config)
+        drive(machine)
+        history = machine.phr()
+        assert history.value != 0
+        history.clear()
+        assert history.value == 0
+        history.set_value(0b1011)
+        assert history.value == 0b1011
 
     def test_histories_are_per_thread(self, config, model_id):
         machine = Machine(config)

@@ -1,11 +1,11 @@
-"""Mutation epochs, digest memoization, and dirty-set restores.
+"""Every state change reaches the machine digest, and dirty-set restores.
 
-The ISSUE 8 perf layer under the trace cache: every stateful component
-counts its mutations, :attr:`Machine.state_epoch` aggregates them, and
-:func:`repro.isa.identity.machine_digest` memoizes against the epoch.
-Correctness bar: a memo must *never* survive a state change -- every
-test here mutates through a different entry point and checks the
-derived value moves.
+No component counts its mutations: :func:`repro.isa.identity.machine_digest`
+hashes the snapshot on every call, so a state change can only be missed
+if the snapshot does not carry it -- every test in the first half
+mutates through a different entry point and checks the digest moves.
+The second half pins the dirty-set restores of the cache and the BTB
+against cold restores.
 """
 
 from __future__ import annotations
@@ -20,68 +20,35 @@ from repro.isa.identity import machine_digest
 
 
 # ----------------------------------------------------------------------
-# machine_digest memoization
+# machine_digest covers every entry point
 # ----------------------------------------------------------------------
 
-def test_machine_digest_is_memoized_until_mutation():
+def _warm_machine():
+    """A machine with a cache line, a BTB entry and an IBP entry, so
+    every flush below has something to evict."""
     machine = Machine(RAPTOR_LAKE)
-    first = machine_digest(machine)
-    epoch = machine.state_epoch
-    assert machine_digest(machine) == first
-    assert machine.state_epoch == epoch  # digesting does not mutate
-
-    machine.observe_conditional(0x4000, 0x4100, True)
-    assert machine.state_epoch != epoch
-    assert machine_digest(machine) != first
+    machine.cache.access(0x40_0000)
+    machine.btb.update(0x4000, 0x5000)
+    machine.ibp.update(0x4000, machine.phr(), 0x6000)
+    return machine
 
 
 @pytest.mark.parametrize("mutate", [
-    lambda m: m.cache.access(0x40_0000),
+    lambda m: m.cache.access(0x40_1000),
     lambda m: m.cache.flush(0x40_0000),
     lambda m: m.cache.flush_all(),
-    lambda m: m.btb.update(0x4000, 0x5000),
+    lambda m: m.btb.update(0x4100, 0x5000),
     lambda m: m.btb.flush(),
     lambda m: m.btb.predict(0x4000),
     lambda m: m.ibp.flush(),
-    lambda m: m.touch(),
 ], ids=["cache-access", "cache-flush", "cache-flush-all", "btb-update",
-        "btb-flush", "btb-predict", "ibp-flush", "touch"])
-def test_every_mutation_entry_point_moves_the_epoch(mutate):
-    machine = Machine(RAPTOR_LAKE)
-    epoch = machine.state_epoch
+        "btb-flush", "btb-predict", "ibp-flush"])
+def test_every_mutation_entry_point_moves_the_digest(mutate):
+    machine = _warm_machine()
+    before = machine_digest(machine)
+    assert machine_digest(machine) == before  # digesting does not mutate
     mutate(machine)
-    assert machine.state_epoch != epoch
-
-
-def test_restore_moves_the_epoch_even_to_identical_state():
-    """The epoch is an identity token, not a content hash."""
-    machine = Machine(RAPTOR_LAKE)
-    snap = machine.snapshot()
-    epoch = machine.state_epoch
-    machine.restore(snap)
-    assert machine.state_epoch != epoch
-    # ... but the digest of the restored state is content-equal.
-    fresh = Machine(RAPTOR_LAKE)
-    assert machine_digest(machine) == machine_digest(fresh)
-
-
-def test_swapped_predictor_disables_memoization():
-    """A cbp without a mutation counter degrades to recompute, not stale."""
-    machine = Machine(RAPTOR_LAKE)
-
-    class Opaque:
-        def __init__(self, inner):
-            self._inner = inner
-
-        def __getattr__(self, name):
-            if name == "mutations":
-                raise AttributeError(name)
-            return getattr(self._inner, name)
-
-    machine.cbp = Opaque(machine.cbp)
-    assert machine.state_epoch is None
-    # Still digestable -- just not memoized.
-    assert machine_digest(machine) == machine_digest(machine)
+    assert machine_digest(machine) != before
 
 
 # ----------------------------------------------------------------------
