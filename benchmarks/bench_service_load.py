@@ -14,10 +14,15 @@ public surface:
 
 Both arms run the identical workload (same victims, same read widths)
 and must produce bit-identical doublets; the warm arm must clear a
->= 3x requests/sec gate (asserted in quick and full mode).  Latency
+>= 3x requests/sec gate (asserted in quick and full mode).  The ratio
+is the median of paired cold/warm rounds in alternating order
+(``conftest.paired_self_timed_speedup``); every round starts a fresh
+service (and, for the warm arm, a fresh store in its own spill
+directory) and times only the measured requests.  Each arm's median
+and IQR in seconds are recorded next to the ratio.  Latency
 percentiles come from :func:`repro.utils.stats.summarize_timings` --
 the same helper the trial harness reports through -- over the per-job
-wall-clock seconds the service records.
+wall-clock seconds the service records in each arm's last round.
 
 Results land in ``benchmarks/results/service_load.json`` (requests/sec
 per arm, p50/p99 latency, store hit rate, spill-directory size).
@@ -38,7 +43,7 @@ from repro.service import (
 )
 from repro.utils.stats import summarize_timings
 
-from conftest import BENCH_QUICK, print_table
+from conftest import BENCH_QUICK, paired_self_timed_speedup, print_table
 
 #: Victim weight: loop iterations interpreted per profiling run.  The
 #: prefix must dominate the per-guess suffix measurements for the store
@@ -54,6 +59,8 @@ WORKERS = 2
 
 #: The throughput gate: warm store over cold baseline.
 SPEEDUP_FLOOR = 3.0
+#: Paired cold/warm rounds behind the recorded speedup (the median ratio).
+SPEEDUP_ROUNDS = 7
 
 
 def _run_arm(store, client_jobs: int, prime: bool):
@@ -83,7 +90,6 @@ def _run_arm(store, client_jobs: int, prime: bool):
         "elapsed_s": elapsed,
         "outcomes": outcomes,
         "latency": summarize_timings(o.seconds for o in outcomes),
-        "requests_per_s": client_jobs / elapsed,
         "service_stats": stats,
     }
 
@@ -102,55 +108,77 @@ def _spill_directory() -> str:
     return tempfile.mkdtemp(prefix="repro-service-load-")
 
 
-def run_arms():
-    cold = _run_arm(store=None, client_jobs=REQUESTS, prime=False)
-    store = SnapshotStore(directory=_spill_directory())
-    warm = _run_arm(store=store, client_jobs=REQUESTS, prime=True)
-    manifest = store.manifest()
-    return {"cold": cold, "warm": warm, "manifest": manifest}
+def run_arms(extra_info):
+    """Paired cold/warm rounds; every round's runs, per arm."""
+    spill = _spill_directory()
+    runs = {"cold": [], "warm": []}
+
+    def cold():
+        runs["cold"].append(_run_arm(store=None, client_jobs=REQUESTS,
+                                     prime=False))
+        return runs["cold"][-1]["elapsed_s"]
+
+    def warm():
+        store = SnapshotStore(directory=Path(spill)
+                              / f"round-{len(runs['warm'])}")
+        runs["warm"].append(_run_arm(store=store, client_jobs=REQUESTS,
+                                     prime=True))
+        runs["manifest"] = store.manifest()
+        return runs["warm"][-1]["elapsed_s"]
+
+    runs["speedup"] = paired_self_timed_speedup(
+        warm, cold, extra_info, "service", SPEEDUP_ROUNDS)
+    return runs
 
 
 def test_service_load(benchmark):
-    results = benchmark.pedantic(run_arms, rounds=1, iterations=1)
-    cold, warm = results["cold"], results["warm"]
-    manifest = results["manifest"]
+    runs = benchmark.pedantic(run_arms, args=(benchmark.extra_info,),
+                              rounds=1, iterations=1)
+    info = benchmark.extra_info
+    cold, warm = runs["cold"][-1], runs["warm"][-1]
+    manifest = runs["manifest"]
     # Persist the spill-directory manifest before any gate can fail, so
     # a broken CI run uploads exactly what the store held.
     manifest_path = Path(__file__).parent / "results" \
         / "service_load_manifest.json"
     manifest_path.parent.mkdir(exist_ok=True)
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    speedup = warm["requests_per_s"] / cold["requests_per_s"]
+    speedup = runs["speedup"]
     hit_rate = warm["service_stats"]["store"]["hit_rate"]
 
-    def row(name, arm):
+    def row(name, arm, side):
         latency = arm["latency"]
-        return [name, f"{arm['elapsed_s']:.3f}s",
-                f"{arm['requests_per_s']:.1f}",
+        median_s = info[f"service_{side}_median_s"]
+        return [name, f"{median_s:.3f}s", f"{REQUESTS / median_s:.1f}",
+                f"{info[f'service_{side}_iqr_s']:.3f}s",
                 f"{latency.p50 * 1000:.1f}ms", f"{latency.p99 * 1000:.1f}ms"]
 
     print_table(
         f"Service load -- {REQUESTS} read_phr requests, "
-        f"{VICTIM_ITERATIONS}-iteration victim, {WORKERS} workers "
+        f"{VICTIM_ITERATIONS}-iteration victim, {WORKERS} workers, "
+        f"median of {SPEEDUP_ROUNDS} paired rounds "
         f"({'quick' if BENCH_QUICK else 'full'} mode)",
-        ["arm", "time", "req/s", "p50", "p99"],
-        [row("cold (no store)", cold),
-         row("warm (shared store)", warm)],
+        ["arm", "median time", "req/s", "IQR", "p50", "p99"],
+        [row("cold (no store)", cold, "slow"),
+         row("warm (shared store)", warm, "fast")],
     )
-    print(f"store hit rate {hit_rate:.2%}, "
+    print(f"warm/cold speedup {speedup:.2f}x, "
+          f"store hit rate {hit_rate:.2%}, "
           f"{len(manifest['disk_artifacts'])} artifact(s), "
           f"{manifest['disk_bytes']} bytes spilled")
 
-    # Bit-identity across arms: the store changes cost, never results.
-    cold_values = [o.value["doublets"] for o in cold["outcomes"]]
-    warm_values = [o.value["doublets"] for o in warm["outcomes"]]
-    assert cold_values == warm_values
+    # Bit-identity across arms and rounds: the store changes cost,
+    # never results.
+    cold_values = [o.value["doublets"] for o in runs["cold"][0]["outcomes"]]
+    for arm in runs["cold"] + runs["warm"]:
+        assert [o.value["doublets"] for o in arm["outcomes"]] == cold_values
 
     # Every measured warm job was served from the store (no prefix runs).
-    for outcome in warm["outcomes"]:
-        replay = outcome.value["replay"]
-        assert replay["prefix_runs"] == 0, replay
-        assert replay["store_hits"] >= 1, replay
+    for arm in runs["warm"]:
+        for outcome in arm["outcomes"]:
+            replay = outcome.value["replay"]
+            assert replay["prefix_runs"] == 0, replay
+            assert replay["store_hits"] >= 1, replay
 
     # The throughput gate.
     assert speedup >= SPEEDUP_FLOOR, (
@@ -159,12 +187,15 @@ def test_service_load(benchmark):
     assert hit_rate > 0.0
     assert manifest["disk_bytes"] > 0
 
-    benchmark.extra_info.update({
+    info.update({
         "requests": REQUESTS,
         "victim_iterations": VICTIM_ITERATIONS,
         "workers_per_profile": WORKERS,
-        "cold_requests_per_s": round(cold["requests_per_s"], 2),
-        "warm_requests_per_s": round(warm["requests_per_s"], 2),
+        "speedup_rounds": SPEEDUP_ROUNDS,
+        "cold_requests_per_s": round(
+            REQUESTS / info["service_slow_median_s"], 2),
+        "warm_requests_per_s": round(
+            REQUESTS / info["service_fast_median_s"], 2),
         "cold_latency_s": cold["latency"].as_dict(),
         "warm_latency_s": warm["latency"].as_dict(),
         "store_hit_rate": round(hit_rate, 4),

@@ -11,8 +11,8 @@ quick/full mode* and fails (exit 1) when any shared speedup key dropped
 by more than the threshold (default 20%).
 
 CI runs it right after the quick-mode bench sweep, so a change that
-quietly halves the batch engine's throughput fails the build even while
-the absolute >=3x floor assertions still pass.
+quietly halves a measured speedup fails the build even while the
+absolute >=3x floor assertions still pass.
 
 Rules:
 
@@ -21,11 +21,6 @@ Rules:
 * Speedup keys present in only one of the two records are ignored --
   adding or retiring an arm is not a regression.
 * Improvements and small wobbles are reported but never fail.
-* ``REQUIRED_KEYS`` pins trajectories that must keep reporting specific
-  speedup keys: the newest records of ``predictor_matrix.json`` must
-  carry every per-family ``*_read_batch_speedup`` key, so silently
-  dropping a family from the batch sweep fails the build even with no
-  prior record to regress against.
 
 Usage::
 
@@ -44,18 +39,6 @@ from typing import Dict, List, Optional, Tuple
 
 DEFAULT_RESULTS_DIR = Path(__file__).parent / "results"
 DEFAULT_THRESHOLD = 0.20
-
-#: Speedup keys the newest records of a trajectory must collectively
-#: report.  One key per registered batch predictor family -- the matrix
-#: benchmark's batch sweep covers every family, so a missing key means
-#: a family silently fell out of the gate.
-REQUIRED_KEYS: Dict[str, Tuple[str, ...]] = {
-    "predictor_matrix.json": (
-        "intel_cbp_read_batch_speedup",
-        "m1_phr_read_batch_speedup",
-        "gshare_tournament_read_batch_speedup",
-    ),
-}
 
 
 def load_trajectory(path: Path) -> list:
@@ -101,24 +84,6 @@ def latest_pair(trajectory: list) -> Optional[Tuple[dict, dict]]:
     return None
 
 
-def missing_required_keys(name: str, series: "Dict[object, list]",
-                          ) -> List[str]:
-    """Required speedup keys absent from the newest records of ``name``.
-
-    The requirement is satisfied when the *union* of the newest record
-    of every per-test series carries the key -- each key is reported by
-    whichever test owns that arm.
-    """
-    required = REQUIRED_KEYS.get(name)
-    if not required:
-        return []
-    reported: set = set()
-    for records in series.values():
-        if records:
-            reported.update(records[-1].get("speedups") or {})
-    return [key for key in required if key not in reported]
-
-
 def compare_speedups(previous: dict, newest: dict,
                      threshold: float) -> List[str]:
     """Regression messages for speedup keys both records carry."""
@@ -156,11 +121,6 @@ def check_results(results_dir: Path,
     for path in trajectories:
         trajectory = load_trajectory(path)
         series = bench_series(trajectory)
-        missing = missing_required_keys(path.name, series)
-        if missing:
-            failed = True
-            print(f"{path.name}: MISSING required speedup keys: "
-                  + ", ".join(missing))
         for bench, records in series.items():
             label = path.name if bench is None else f"{path.name}[{bench}]"
             pair = latest_pair(records)

@@ -26,7 +26,6 @@ from repro.batch.backends import (
 from repro.batch.engine import (
     BatchMachine,
     BatchRunResult,
-    BatchSnapshot,
     BatchStateError,
     supports_config,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "BatchMachine",
     "BatchPredictorBackend",
     "BatchRunResult",
-    "BatchSnapshot",
     "BatchStateError",
     "GshareTournamentBatchBackend",
     "IntelBatchBackend",

@@ -41,7 +41,7 @@ approximated.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -83,14 +83,12 @@ class BatchPredictorBackend:
       ``commit_taken(rows, pc, target)`` -- the family's history update
       discipline (the vector twins of the scalar register's
       ``on_conditional`` / ``on_taken`` hooks).
-    * history access (``history_value`` / ``set_history_values`` /
-      ``clear_history`` / ``load_history``) plus ``make_history``, which
-      builds the *scalar* register object phase 1 uses to shadow IBP
-      hashing.
+    * history access (``history_value`` / ``load_history``) plus
+      ``make_history``, which builds the *scalar* register object phase
+      1 uses to shadow IBP hashing.
     * snapshot plumbing: ``load_cbp`` / ``extract_cbp`` convert between
       the scalar family's sparse ``MachineSnapshot.cbp`` shape and the
-      dense arrays; ``state_arrays`` / ``restore_arrays`` checkpoint the
-      arrays themselves for :class:`~repro.batch.engine.BatchSnapshot`.
+      dense arrays.
 
     All row indices address replicas; a backend never sees two commits
     for the same replica in one call, so scattered writes are safe.
@@ -134,18 +132,6 @@ class BatchPredictorBackend:
         """Replica ``i``'s history contents as an integer."""
         raise NotImplementedError
 
-    def history_values(self) -> List[int]:
-        """Every replica's history value."""
-        return [self.history_value(i) for i in range(self.n)]
-
-    def set_history_values(self, values: List[int]) -> None:
-        """Force per-replica history contents (length-``n`` list)."""
-        raise NotImplementedError
-
-    def clear_history(self) -> None:
-        """Zero every replica's history."""
-        raise NotImplementedError
-
     # ----- predict / train / commit -----------------------------------
 
     def observe(self, rows: np.ndarray, pc: np.ndarray,
@@ -171,14 +157,6 @@ class BatchPredictorBackend:
 
     def extract_cbp(self, i: int):
         """Replica ``i``'s tables in the scalar ``cbp.snapshot()`` shape."""
-        raise NotImplementedError
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Copies of every array this backend owns (checkpoint form)."""
-        raise NotImplementedError
-
-    def restore_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Copy a :meth:`state_arrays` checkpoint back into the arrays."""
         raise NotImplementedError
 
 
@@ -216,8 +194,8 @@ def batch_backend_for(
         model_id: str) -> Optional[Type[BatchPredictorBackend]]:
     """The backend class for ``model_id``, or ``None`` if unregistered.
 
-    Non-raising by design: ``supports_config`` and the trial-runner's
-    vectorize gate use a missing backend as the scalar-fallback signal.
+    Non-raising by design: ``supports_config`` uses a missing backend as
+    the scalar-fallback signal.
     """
     return _REGISTRY.get(model_id)
 
@@ -390,8 +368,7 @@ class _TageBatchBackend(BatchPredictorBackend):
             self._win_off = np.concatenate(
                 [self._win_m1, self._win_m2])[:, None]
         # Raveled views over the stacked arrays for flat-index gathers
-        # (restore_arrays copies into the same storage, so these stay
-        # valid).
+        # (load_cbp copies into the same storage, so these stay valid).
         self._tags_by_set = self._tags.reshape(-1, self._ways)
         self._ctr_flat = self._ctr.reshape(-1)
         self._useful_flat = self._useful.reshape(-1)
@@ -430,23 +407,6 @@ class _TageBatchBackend(BatchPredictorBackend):
         self._phr_buf[:, self._phr_slack:] = (
             self._bits_of_value(int(value))[None, :])
         self._refold(self._all_rows)
-
-    def set_history_values(self, values: List[int]) -> None:
-        self._phr_buf[:] = 0
-        self._phr_org[:] = self._phr_slack
-        for i, value in enumerate(values):
-            self._phr_buf[i, self._phr_slack:] = (
-                self._bits_of_value(int(value)))
-        self._refold(self._all_rows)
-
-    def clear_history(self) -> None:
-        self._phr_buf[:] = 0
-        self._phr_org[:] = self._phr_slack
-        # An all-zero history folds to all-zero registers for every
-        # table, so the from-scratch refold collapses to a fill --
-        # clear_phr sits in primitive hot loops (one clear per path
-        # visit in the read channel).
-        self._folds[:] = 0
 
     def _fold_bits(self, rows: np.ndarray, low: int, high: int,
                    chunk: int) -> np.ndarray:
@@ -804,30 +764,6 @@ class _TageBatchBackend(BatchPredictorBackend):
         )
         return (base_snap, table_snaps)
 
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        return {
-            "base_val": self._base_val.copy(),
-            "base_pop": self._base_pop.copy(),
-            "phr_buf": self._phr_buf.copy(),
-            "phr_org": self._phr_org.copy(),
-            "tags": self._tags.copy(),
-            "ctr": self._ctr.copy(),
-            "useful": self._useful.copy(),
-            "occ": self._occ.copy(),
-            "folds": self._folds.copy(),
-        }
-
-    def restore_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        np.copyto(self._base_val, arrays["base_val"])
-        np.copyto(self._base_pop, arrays["base_pop"])
-        np.copyto(self._phr_buf, arrays["phr_buf"])
-        np.copyto(self._phr_org, arrays["phr_org"])
-        np.copyto(self._tags, arrays["tags"])
-        np.copyto(self._ctr, arrays["ctr"])
-        np.copyto(self._useful, arrays["useful"])
-        np.copyto(self._occ, arrays["occ"])
-        np.copyto(self._folds, arrays["folds"])
-
 
 @register_batch_backend
 class IntelBatchBackend(_TageBatchBackend):
@@ -950,15 +886,6 @@ class GshareTournamentBatchBackend(BatchPredictorBackend):
     def history_value(self, i: int) -> int:
         return int(self._ghr[i])
 
-    def set_history_values(self, values: List[int]) -> None:
-        # Mask before the int64 conversion: callers may hand arbitrarily
-        # wide Python ints (the scalar GHR masks on set_value too).
-        self._ghr[:] = np.asarray([int(v) & self._ghr_mask for v in values],
-                                  dtype=np.int64)
-
-    def clear_history(self) -> None:
-        self._ghr[:] = 0
-
     # ----- predict / train --------------------------------------------
 
     def _train(self, val_flat: np.ndarray, pop_flat: np.ndarray,
@@ -1042,23 +969,3 @@ class GshareTournamentBatchBackend(BatchPredictorBackend):
     def extract_cbp(self, i: int):
         return tuple(base_snapshot_from_dense(val[i], pop[i])
                      for _, val, pop in self._planes())
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        return {
-            "local_val": self._local_val.copy(),
-            "local_pop": self._local_pop.copy(),
-            "gshare_val": self._gshare_val.copy(),
-            "gshare_pop": self._gshare_pop.copy(),
-            "chooser_val": self._chooser_val.copy(),
-            "chooser_pop": self._chooser_pop.copy(),
-            "ghr": self._ghr.copy(),
-        }
-
-    def restore_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        np.copyto(self._local_val, arrays["local_val"])
-        np.copyto(self._local_pop, arrays["local_pop"])
-        np.copyto(self._gshare_val, arrays["gshare_val"])
-        np.copyto(self._gshare_pop, arrays["gshare_pop"])
-        np.copyto(self._chooser_val, arrays["chooser_val"])
-        np.copyto(self._chooser_pop, arrays["chooser_pop"])
-        np.copyto(self._ghr, arrays["ghr"])

@@ -47,15 +47,15 @@ Deferred structures
 -------------------
 Per-PC perf histograms and the (LRU, order-dependent) BTB resist
 vectorization, so branch commits append to a pending event log that
-:meth:`sync` folds into the scalar shadows in order.  Trial loops that
-``restore()`` a checkpoint between trials discard their pending log with
-the rest of the delta, so the hot loop never pays the fold.
+:meth:`_sync` folds into the scalar shadows in order at the end of each
+:meth:`run_batch` (and whenever the log passes
+:data:`PENDING_FOLD_LIMIT`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,7 +91,7 @@ from repro.isa.trace import (
 
 #: Pending branch events folded into the shadows automatically once the
 #: log grows past this many append blocks (bounds memory on long
-#: functional streams; trial loops restore before ever reaching it).
+#: programs).
 PENDING_FOLD_LIMIT = 8192
 
 #: Event-stream columns replayed per vectorization block in run_batch
@@ -105,8 +105,8 @@ class BatchStateError(RuntimeError):
     A replica that raises inside ``run_batch`` (an instruction-budget
     overrun under ``on_limit='raise'``, a decode fault) aborts the run
     with some replicas committed and others not; every later state-
-    touching call raises this until :meth:`BatchMachine.restore` or
-    :meth:`BatchMachine.load_snapshot` re-establishes a known state.
+    touching call raises this until :meth:`BatchMachine.load_snapshot`
+    re-establishes a known state.
     """
 
 
@@ -145,28 +145,6 @@ class BatchRunResult:
     @property
     def state(self) -> CpuState:
         return self.execution.state
-
-
-class BatchSnapshot:
-    """A value checkpoint of a whole :class:`BatchMachine`.
-
-    Array state is copied; shadow components are checkpointed through
-    their own sparse snapshots.  ``epoch`` stamps the shadow state so a
-    later :meth:`BatchMachine.restore` can skip the per-replica shadow
-    restores when nothing has touched the shadows in between -- the
-    common trial-loop case, which then costs only array copies.
-    """
-
-    __slots__ = ("n", "arrays", "shadows", "other_threads", "ibrs", "epoch")
-
-    def __init__(self, n: int, arrays: dict, shadows: tuple,
-                 other_threads: tuple, ibrs: bool, epoch: int):
-        self.n = n
-        self.arrays = arrays
-        self.shadows = shadows
-        self.other_threads = other_threads
-        self.ibrs = ibrs
-        self.epoch = epoch
 
 
 class _ReplayHooks(CpuHooks):
@@ -268,39 +246,12 @@ class _CaptureHooks(_ReplayHooks):
         self.cache.access(address)
 
 
-class _LazyShadowList(list):
-    """Per-replica shadow components, constructed on first access.
-
-    Building N data caches (1024 set lists each), BTBs and IBPs up
-    front costs more than an entire functional sweep at realistic batch
-    sizes, and the functional entry points never touch the shadows --
-    only :meth:`BatchMachine.sync`, checkpointing and :meth:`run_batch`
-    do.  Indexing materialises the replica's component on demand;
-    everything else behaves like the eager list it replaces.
-    """
-
-    __slots__ = ("_factory",)
-
-    def __init__(self, factory: Callable[[], Any], n: int):
-        super().__init__([None] * n)
-        self._factory = factory
-
-    def __getitem__(self, i):
-        item = list.__getitem__(self, i)
-        if item is None:
-            item = self._factory()
-            list.__setitem__(self, i, item)
-        return item
-
-
 class BatchMachine:
     """N machine replicas stepping in lockstep over numpy array state.
 
-    The functional entry points (:meth:`observe_conditional`,
-    :meth:`record_taken_branch`) commit one branch per replica across the
-    whole batch; :meth:`run_batch` runs a program per replica.  All
-    operations address logical thread 0 of every replica, matching the
-    single-thread usage of the scalar functional API.
+    :meth:`run_batch` runs a program once per replica; :meth:`extract`
+    reads one replica back as a scalar snapshot.  All operations address
+    logical thread 0 of every replica.
     """
 
     def __init__(self, n: int, config: MachineConfig = RAPTOR_LAKE):
@@ -322,11 +273,9 @@ class BatchMachine:
             )
         self.n = n
         self.config = config
-        self._epoch = 0
         #: Set when a run_batch aborts mid-update (see BatchStateError);
-        #: cleared by restore()/load_snapshot().
+        #: cleared by load_snapshot().
         self._poisoned = False
-        self._all_rows = np.arange(n)
 
         # ----- vector-owned predictor + history state ----------------
         self._backend = backend_cls(n, config)
@@ -337,21 +286,21 @@ class BatchMachine:
         self._taken_delta = np.zeros(n, dtype=np.int64)
         self._pending: List[tuple] = []
 
-        # ----- scalar shadow components (one per replica, lazy) ------
-        self._btb = _LazyShadowList(BranchTargetBuffer, n)
-        self._ibp = _LazyShadowList(IndirectBranchPredictor, n)
-        self._cache = _LazyShadowList(
-            lambda: DataCache(
+        # ----- scalar shadow components (one per replica) -------------
+        self._btb = [BranchTargetBuffer() for _ in range(n)]
+        self._ibp = [IndirectBranchPredictor() for _ in range(n)]
+        self._cache = [
+            DataCache(
                 sets=config.cache_sets,
                 ways=config.cache_ways,
                 line_size=config.cache_line_size,
                 hit_latency=config.cache_hit_latency,
                 miss_latency=config.cache_miss_latency,
-            ),
-            n,
-        )
-        self._ras = _LazyShadowList(ReturnAddressStack, n)
-        self._perf = _LazyShadowList(PerfCounters, n)
+            )
+            for _ in range(n)
+        ]
+        self._ras = [ReturnAddressStack() for _ in range(n)]
+        self._perf = [PerfCounters() for _ in range(n)]
         self._domain = ["user"] * n
         self._ibrs = False
         self._other_threads: Tuple[Tuple[int, tuple, str], ...] = tuple(
@@ -375,8 +324,8 @@ class BatchMachine:
         if self._poisoned:
             raise BatchStateError(
                 "a previous run_batch aborted mid-update and left replica "
-                "state inconsistent; restore() a snapshot (or "
-                "load_snapshot() a scalar one) before reusing this batch")
+                "state inconsistent; load_snapshot() a scalar snapshot "
+                "before reusing this batch")
 
     def load_snapshot(self, snap: MachineSnapshot) -> None:
         """Broadcast one scalar machine snapshot into every replica."""
@@ -392,7 +341,6 @@ class BatchMachine:
                 f"this batch has {self.config.phr_capacity}"
             )
         self._poisoned = False
-        self._epoch += 1
         self._backend.load_cbp(snap.cbp)
 
         phr_value, ras_snap, domain = snap.threads[0]
@@ -413,7 +361,7 @@ class BatchMachine:
         self._other_threads = tuple(snap.threads[1:])
 
     # ------------------------------------------------------------------
-    # history helpers (vector twins of Machine.phr_value / clear_phr)
+    # per-replica reads
     # ------------------------------------------------------------------
 
     def phr_value(self, i: int) -> int:
@@ -425,92 +373,12 @@ class BatchMachine:
         """
         return self._backend.history_value(i)
 
-    def phr_values(self) -> List[int]:
-        """Every replica's history value."""
-        return self._backend.history_values()
-
-    def set_phr_values(self, values) -> None:
-        """Force history contents: one integer, or a per-replica sequence."""
-        if isinstance(values, int):
-            values = [values] * self.n
-        if len(values) != self.n:
-            raise ValueError(
-                f"expected {self.n} PHR values, got {len(values)}")
-        self._backend.set_history_values([int(v) for v in values])
-
-    def clear_phr(self) -> None:
-        """Zero every replica's history (``Clear_PHR`` semantics)."""
-        self._backend.clear_history()
-
     # ------------------------------------------------------------------
-    # functional branch entry points (vector twins of Machine's)
+    # phase-2 commits and the deferred-state fold
     # ------------------------------------------------------------------
-
-    def _broadcast(self, value, dtype) -> np.ndarray:
-        array = np.asarray(value, dtype=dtype)
-        if array.ndim == 0:
-            array = np.broadcast_to(array, (self.n,))
-        if array.shape != (self.n,):
-            raise ValueError(
-                f"expected a scalar or a length-{self.n} vector, got shape "
-                f"{array.shape}")
-        return array
-
-    def _rows_of(self, mask) -> np.ndarray:
-        if mask is None:
-            return self._all_rows
-        mask = self._broadcast(mask, bool)
-        return np.flatnonzero(mask)
-
-    def observe_conditional(self, pc, target, taken,
-                            mask=None) -> np.ndarray:
-        """Commit one conditional branch per (selected) replica.
-
-        ``pc``/``target``/``taken`` broadcast: scalars commit the same
-        branch everywhere, per-replica vectors commit independent
-        branches in one step.  Returns the ``(n,)`` misprediction mask
-        (False for replicas excluded by ``mask``).
-        """
-        self._check_poisoned()
-        pc = self._broadcast(pc, np.int64)
-        target = self._broadcast(target, np.int64)
-        taken = self._broadcast(taken, bool)
-        if mask is None:
-            # Full-batch fast path: skip the row-gather copies (rows is
-            # the identity) -- this is the hot shape for primitive
-            # sweeps, which commit every replica each step.
-            return self._observe_rows(self._all_rows, pc, target, taken)
-        rows = self._rows_of(mask)
-        result = np.zeros(self.n, dtype=bool)
-        if rows.size == 0:
-            return result
-        mispredicted = self._observe_rows(rows, pc[rows], target[rows],
-                                          taken[rows])
-        result[rows] = mispredicted
-        return result
-
-    def record_taken_branch(self, pc, target, mask=None,
-                            kind: BranchKind = BranchKind.JUMP) -> None:
-        """Commit one taken non-conditional branch per (selected) replica.
-
-        ``kind`` must not be INDIRECT: IBP traffic needs the scalar
-        shadow path (use :meth:`run_batch` for programs with indirect
-        branches).
-        """
-        if kind is BranchKind.INDIRECT:
-            raise ValueError(
-                "batch record_taken_branch does not model INDIRECT "
-                "branches; run them through run_batch")
-        self._check_poisoned()
-        rows = self._rows_of(mask)
-        if rows.size == 0:
-            return
-        pc = self._broadcast(pc, np.int64)[rows]
-        target = self._broadcast(target, np.int64)[rows]
-        self._record_rows(rows, pc, target)
 
     def _observe_rows(self, rows: np.ndarray, pc: np.ndarray,
-                      target: np.ndarray, taken: np.ndarray) -> np.ndarray:
+                      target: np.ndarray, taken: np.ndarray) -> None:
         mispredicted = self._backend.observe(rows, pc, taken)
         self._cond_delta[rows] += 1
         self._mispred_delta[rows[mispredicted]] += 1
@@ -518,8 +386,7 @@ class BatchMachine:
         self._taken_delta[rows[taken]] += 1
         self._pending.append((rows, pc, target, taken, mispredicted, True))
         if len(self._pending) >= PENDING_FOLD_LIMIT:
-            self.sync()
-        return mispredicted
+            self._sync()
 
     def _record_rows(self, rows: np.ndarray, pc: np.ndarray,
                      target: np.ndarray) -> None:
@@ -527,25 +394,14 @@ class BatchMachine:
         self._taken_delta[rows] += 1
         self._pending.append((rows, pc, target, None, None, False))
         if len(self._pending) >= PENDING_FOLD_LIMIT:
-            self.sync()
+            self._sync()
 
-    # ------------------------------------------------------------------
-    # deferred-state fold
-    # ------------------------------------------------------------------
-
-    def sync(self) -> None:
+    def _sync(self) -> None:
         """Fold pending branch events and counter deltas into the shadows.
 
         Per-PC histograms and BTB updates are replayed in commit order
-        per replica, reproducing the scalar bookkeeping exactly.  No-op
-        (and epoch-preserving) when nothing is pending, so snapshot /
-        restore cycles in a clean trial loop stay array-only.
+        per replica, reproducing the scalar bookkeeping exactly.
         """
-        dirty = (bool(self._pending) or self._cond_delta.any()
-                 or self._taken_delta.any())
-        if not dirty:
-            return
-        self._epoch += 1
         touched = np.flatnonzero(
             (self._cond_delta != 0) | (self._taken_delta != 0))
         for i in touched.tolist():
@@ -582,54 +438,8 @@ class BatchMachine:
         self._pending.clear()
 
     # ------------------------------------------------------------------
-    # checkpointing
+    # per-replica snapshots
     # ------------------------------------------------------------------
-
-    def snapshot(self) -> BatchSnapshot:
-        """Checkpoint the whole batch (arrays copied, shadows sparse)."""
-        self._check_poisoned()
-        self.sync()
-        arrays = self._backend.state_arrays()
-        shadows = tuple(
-            (self._btb[i].snapshot(), self._ibp[i].snapshot(),
-             self._cache[i].snapshot(), self._ras[i].snapshot(),
-             self._perf[i].snapshot(), self._domain[i])
-            for i in range(self.n)
-        )
-        return BatchSnapshot(n=self.n, arrays=arrays, shadows=shadows,
-                             other_threads=self._other_threads,
-                             ibrs=self._ibrs, epoch=self._epoch)
-
-    def restore(self, snap: BatchSnapshot) -> None:
-        """Restore a :meth:`snapshot` of this batch.
-
-        Pending (unfolded) deltas are discarded with the rest of the
-        divergence.  When the shadows have not been touched since the
-        snapshot's epoch, only the arrays are copied -- the fast path a
-        trial loop hits on every restore.
-        """
-        if snap.n != self.n:
-            raise ValueError(
-                f"snapshot is for {snap.n} replicas, this batch has "
-                f"{self.n}")
-        self._poisoned = False
-        self._backend.restore_arrays(snap.arrays)
-        self._cond_delta[:] = 0
-        self._mispred_delta[:] = 0
-        self._taken_delta[:] = 0
-        self._pending.clear()
-        if snap.epoch != self._epoch:
-            for i, (btb, ibp, cache, ras, perf, domain) \
-                    in enumerate(snap.shadows):
-                self._btb[i].restore(btb)
-                self._ibp[i].restore(ibp)
-                self._cache[i].restore(cache)
-                self._ras[i].restore(ras)
-                self._perf[i].restore(perf)
-                self._domain[i] = domain
-            self._epoch = snap.epoch
-        self._other_threads = snap.other_threads
-        self._ibrs = snap.ibrs
 
     def extract(self, i: int) -> MachineSnapshot:
         """Replica ``i``'s state as a scalar :class:`MachineSnapshot`.
@@ -641,7 +451,7 @@ class BatchMachine:
         if not 0 <= i < self.n:
             raise IndexError(f"replica index out of range: {i}")
         self._check_poisoned()
-        self.sync()
+        self._sync()
         threads = ((self.phr_value(i), self._ras[i].snapshot(),
                     self._domain[i]),) + self._other_threads
         return MachineSnapshot(
@@ -684,7 +494,7 @@ class BatchMachine:
         (e.g. the instruction budget under ``on_limit='raise'``), the
         batch is left mid-update and poisoned: every later state-touching
         call raises :class:`BatchStateError` until a
-        :meth:`restore`/:meth:`load_snapshot`.
+        :meth:`load_snapshot`.
 
         **Cached-trace mode** (``trace_cache=...``, a
         :class:`repro.isa.trace.TraceCache` or any object with its
@@ -702,15 +512,13 @@ class BatchMachine:
                 "the batch engine cannot model speculation; run "
                 "speculative workloads on the scalar Machine")
         self._check_poisoned()
-        self.sync()
-        self._epoch += 1
         perf_before = [self._perf[i].snapshot() for i in range(self.n)]
         try:
             executions, events = self._phase1(
                 program, inputs, entry, max_instructions, trace, on_limit,
                 trace_cache)
             self._replay_events(events)
-            self.sync()
+            self._sync()
         except BaseException:
             self._poisoned = True
             raise

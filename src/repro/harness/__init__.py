@@ -8,7 +8,7 @@ execution engine:
 * :func:`run_trials` -- fan independent trials out over a
   ``ProcessPoolExecutor`` (or run them inline with ``workers=1``)
   with per-trial forked :class:`~repro.utils.rng.DeterministicRng`
-  streams, chunked scheduling, and progress/failure accounting.  The
+  streams, chunked scheduling, and failure accounting.  The
   determinism contract pins ``workers=N`` bit-identical to ``workers=1``.
 * :meth:`repro.cpu.machine.Machine.snapshot` /
   :meth:`~repro.cpu.machine.Machine.restore` (the cpu layer's half of the

@@ -240,14 +240,12 @@ def run_trials(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     on_error: str = "raise",
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> TrialReport:
     """Run ``count`` independent trials, optionally across processes.
 
     ``trial``/``setup`` must be module-level callables (picklable by
     qualified name) when ``workers > 1``; ``spec`` and every trial result
-    must be picklable.  ``progress(done, total)`` fires in the parent as
-    chunks complete.  ``on_error`` is ``'raise'`` (default; raise
+    must be picklable.  ``on_error`` is ``'raise'`` (default; raise
     :class:`TrialError` after all trials ran) or ``'collect'`` (return
     the report with failures recorded and ``values[i] is None``).
 
@@ -295,13 +293,9 @@ def run_trials(
 
     if not parallel:
         context = setup(spec) if setup is not None else None
-        done = 0
         try:
             for chunk in chunks:
                 absorb(_run_chunk(context, trial, chunk, seed))
-                done += len(chunk)
-                if progress is not None:
-                    progress(done, count)
         except KeyboardInterrupt:
             # Graceful drain: everything absorbed so far stays; the
             # remaining trials are recorded as cancelled below.
@@ -329,7 +323,6 @@ def run_trials(
                     unsubmitted = chunks[position:]
                     break
                 futures[future] = chunk
-            done = 0
             try:
                 for future in as_completed(futures):
                     chunk = futures[future]
@@ -346,14 +339,8 @@ def run_trials(
                         # on_error='collect' still returns a full report
                         # instead of leaking the exception.
                         absorb(broken_pool_records(chunk))
-                    done += len(chunk)
-                    if progress is not None:
-                        progress(done, count)
                 for chunk in unsubmitted:
                     absorb(broken_pool_records(chunk))
-                    done += len(chunk)
-                    if progress is not None:
-                        progress(done, count)
             except KeyboardInterrupt:
                 # Graceful drain: cancel every not-yet-running chunk,
                 # keep every chunk that already finished (including any

@@ -27,14 +27,6 @@ arms can emit one result matrix across architectures:
   measured outcome, different microarchitectural mechanism -- exactly
   the contrast the matrix exists to record.
 
-:func:`measure_read_primitive_batch` is the vectorized twin of the read
-measurement: N independent seeded sweeps run in lockstep through
-:class:`repro.batch.BatchMachine` (any registered batch backend --
-see :mod:`repro.batch.backends`), with per-replica results pinned
-bit-identical to N scalar calls.  The write channel drives
-``cbp.update``/``cbp.predict`` directly at chosen history coordinates,
-which has no batch surface, so it stays scalar.
-
 Every measurement is deterministic (seeded
 :class:`~repro.utils.rng.DeterministicRng`) and drives machines only
 through the family-agnostic surface (``observe_conditional``,
@@ -170,83 +162,6 @@ def measure_read_primitive(
         accuracy=correct / tested,
         blind_floor=blind_floor,
     )
-
-
-def measure_read_primitive_batch(
-    config: MachineConfig,
-    replicas: int,
-    paths: int = 4,
-    prelude_length: int = 4,
-    train_rounds: int = 24,
-    test_rounds: int = 8,
-    seed: int = 0x5EC4,
-):
-    """``replicas`` independent read-primitive sweeps in one batch.
-
-    Replica ``r`` reproduces ``measure_read_primitive(config,
-    seed=seed + r)`` bit for bit -- each replica draws its own shuffled
-    path orders from its own seeded rng, and the batch commits every
-    replica's current branch in lockstep through the vectorized engine.
-    Returns the per-replica :class:`ReadPrimitiveResult` list; the
-    matrix benchmark pins the outputs identical to the scalar sweep and
-    gates the wall-clock win per family.
-    """
-    if paths < 2 or not paths & 1 == 0:
-        raise ValueError(f"paths must be even and >= 2, got {paths}")
-    if (1 << prelude_length) < paths:
-        raise ValueError("prelude too short to encode every path")
-    import numpy as np
-
-    from repro.batch import BatchMachine
-
-    batch = BatchMachine(replicas, config)
-    rngs = [DeterministicRng(seed + r) for r in range(replicas)]
-    preludes = [_path_prelude(path, prelude_length) for path in range(paths)]
-    outcomes = [bool(path & 1) for path in range(paths)]
-    #: taken_bits[k][path] -- direction of prelude branch k on `path`.
-    taken_bits = np.array(
-        [[bool((path >> k) & 1) for path in range(paths)]
-         for k in range(prelude_length)],
-        dtype=bool)
-    outcome_arr = np.array(outcomes, dtype=bool)
-
-    correct = np.zeros(replicas, dtype=np.int64)
-    tested = 0
-    current = np.zeros(replicas, dtype=np.int64)
-    for round_index in range(train_rounds + test_rounds):
-        orders = []
-        for rng in rngs:
-            order = list(range(paths))
-            for position in range(paths - 1, 0, -1):
-                other = rng.integer(0, position)
-                order[position], order[other] = order[other], order[position]
-            orders.append(order)
-        for position in range(paths):
-            for r in range(replicas):
-                current[r] = orders[r][position]
-            batch.clear_phr()
-            for k in range(prelude_length):
-                pc = _PRELUDE_BASE + 0x40 * k
-                batch.observe_conditional(pc, pc + 0x20,
-                                          taken_bits[k][current])
-            mispredicted = batch.observe_conditional(
-                _VICTIM_PC, _VICTIM_PC + 0x80, outcome_arr[current])
-            if round_index >= train_rounds:
-                tested += 1
-                correct += ~mispredicted
-    blind_floor = max(sum(outcomes), paths - sum(outcomes)) / paths
-    model_id = config.predictor_model
-    return [
-        ReadPrimitiveResult(
-            model_id=model_id,
-            paths=paths,
-            train_rounds=train_rounds,
-            test_rounds=test_rounds,
-            accuracy=int(correct[r]) / tested,
-            blind_floor=blind_floor,
-        )
-        for r in range(replicas)
-    ]
 
 
 def measure_write_primitive(

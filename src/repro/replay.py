@@ -214,11 +214,6 @@ class ReplayEngine:
         self.stats.suffix_runs += 1
         return suffix()
 
-    def run_batch(self, key: Hashable,
-                  suffixes: List[Callable[[], Any]]) -> List[Any]:
-        """``evaluate(key, s)`` for each suffix, in order."""
-        return [self.evaluate(key, suffix) for suffix in suffixes]
-
     def invalidate(self, key: Optional[Hashable] = None) -> None:
         """Drop cached snapshots (all of them, or ``key`` and descendants).
 

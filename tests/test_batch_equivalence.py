@@ -48,75 +48,121 @@ def _assert_snapshots_equal(batch_snap, scalar_snap, context: str) -> None:
     assert batch_snap.phr_capacity == scalar_snap.phr_capacity, context
 
 
-def _random_branch(rng: DeterministicRng):
-    pc = rng.value_bits(20)
-    target = rng.value_bits(20)
-    return pc, target
+def _direction_program(branches: int):
+    """``branches`` conditionals whose directions are read from memory.
+
+    Byte ``k`` of the input block decides branch ``k``: a random input
+    block gives every replica its own random direction stream.  Each
+    step also takes a jump, and a call/return pair every eighth step,
+    so the stream mixes conditional commits with taken
+    non-conditional ones.
+    """
+    b = ProgramBuilder()
+    b.mov_imm("rax", 0x40_0000)
+    b.mov_imm("rcx", 0)
+    b.label("loop")
+    b.load("rdx", "rax", 0, width=1)
+    b.cmp("rdx", imm=128)
+    b.jlt("low")
+    b.add("rbx", imm=1)
+    b.label("low")
+    b.cmp("rdx", imm=32)
+    b.jge("next")
+    b.call("leaf")
+    b.label("next")
+    b.add("rax", imm=1)
+    b.add("rcx", imm=1)
+    b.cmp("rcx", imm=branches)
+    b.jlt("loop")
+    b.halt()
+    b.label("leaf")
+    b.ret()
+    return b.build()
+
+
+def _random_block(rng: DeterministicRng, size: int) -> Memory:
+    memory = Memory()
+    for offset in range(size):
+        memory.write(0x40_0000 + offset, 1, rng.value_bits(8))
+    return memory
+
+
+def _scalar_run(config, program, memory: Memory):
+    scalar = Machine(config)
+    result = scalar.run(program, memory=memory, speculate=False,
+                        trace="full")
+    return scalar, result
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_observe_stream_matches_scalar(config, seed):
-    """Random conditional/taken-branch streams: state equal throughout."""
+    """Per-replica random branch directions: every observe is exact.
+
+    Each replica reads its own random input block, so at every lockstep
+    column the replicas commit different directions (and different
+    branches) through the backend's ``observe``/commit path.
+    """
     assert supports_config(config)
     n = 3
+    steps = 160
+    program = _direction_program(steps)
     rng = DeterministicRng(0xBA7C4 + seed)
-    scalars = [Machine(config) for _ in range(n)]
+    blocks = [_random_block(rng, steps) for _ in range(n)]
     batch = BatchMachine(n, config)
-
-    # Narrow PC pool so branches collide in sets and trigger the
-    # duplicate-reseed / eviction / decay allocate paths.
-    pc_pool = [rng.value_bits(16) for _ in range(12)]
-    for step in range(400):
-        choice = rng.integer(0, 9)
-        if choice < 7:
-            pcs = [rng.choice(pc_pool) for _ in range(n)]
-            targets = [rng.value_bits(18) for _ in range(n)]
-            takens = [rng.coin() for _ in range(n)]
-            scalar_mis = [scalars[i].observe_conditional(pcs[i], targets[i],
-                                                         takens[i])
-                          for i in range(n)]
-            batch_mis = batch.observe_conditional(pcs, targets, takens)
-            assert list(batch_mis) == scalar_mis, f"step {step}"
-        elif choice < 9:
-            pcs = [rng.choice(pc_pool) for _ in range(n)]
-            targets = [rng.value_bits(18) for _ in range(n)]
-            for i in range(n):
-                scalars[i].record_taken_branch(pcs[i], targets[i])
-            batch.record_taken_branch(pcs, targets)
-        else:
-            value = rng.value_bits(2 * config.phr_capacity)
-            values = [value ^ i for i in range(n)]
-            for i in range(n):
-                scalars[i].phr().set_value(values[i])
-            batch.set_phr_values(values)
-        if step % 97 == 0:
-            for i in range(n):
-                _assert_snapshots_equal(batch.extract(i),
-                                        scalars[i].snapshot(),
-                                        f"step {step} replica {i}")
+    results = batch.run_batch(program, [block.clone() for block in blocks],
+                              trace="full")
     for i in range(n):
-        _assert_snapshots_equal(batch.extract(i), scalars[i].snapshot(),
-                                f"final replica {i}")
+        scalar, want = _scalar_run(config, program, blocks[i].clone())
+        assert tuple(results[i].trace) == tuple(want.trace), f"replica {i}"
+        assert results[i].perf == want.perf, f"replica {i} perf"
+        assert results[i].phr_value == want.phr_value, f"replica {i} phr"
+        _assert_snapshots_equal(batch.extract(i), scalar.snapshot(),
+                                f"replica {i}")
+
+
+def _counted_loop(trips_address: int = 0x40_0100):
+    """A loop whose trip count is read from memory.
+
+    Every trip takes the backward conditional and one jump, so a
+    replica with more trips commits more taken branches.
+    """
+    b = ProgramBuilder()
+    b.mov_imm("rax", trips_address)
+    b.load("rdx", "rax", 0, width=4)
+    b.mov_imm("rcx", 0)
+    b.label("loop")
+    b.add("rcx", imm=1)
+    b.jmp("tail")
+    b.label("tail")
+    b.cmp("rcx", "rdx")
+    b.jlt("loop")
+    b.halt()
+    return b.build()
+
+
+def _trips(count: int) -> Memory:
+    memory = Memory()
+    memory.write(0x40_0100, 4, count)
+    return memory
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
 def test_masked_observe_matches_scalar(config):
-    """Masked commits touch exactly the selected replicas."""
-    n = 4
-    rng = DeterministicRng(0x5E1EC7)
-    scalars = [Machine(config) for _ in range(n)]
-    batch = BatchMachine(n, config)
-    for step in range(120):
-        mask = [rng.coin() for _ in range(n)]
-        pc, target = _random_branch(rng)
-        taken = rng.coin()
-        for i in range(n):
-            if mask[i]:
-                scalars[i].observe_conditional(pc, target, taken)
-        batch.observe_conditional(pc, target, taken, mask=mask)
-    for i in range(n):
-        _assert_snapshots_equal(batch.extract(i), scalars[i].snapshot(),
+    """Replicas that finish early drop out of the lockstep columns.
+
+    Differing trip counts leave only some rows active in the later
+    columns, so the backend commits on a strict subset of replicas.
+    """
+    trips = [5, 40, 17, 1]
+    program = _counted_loop()
+    batch = BatchMachine(len(trips), config)
+    results = batch.run_batch(program, [_trips(t) for t in trips])
+    for i, count in enumerate(trips):
+        scalar, want = _scalar_run(config, program, _trips(count))
+        assert results[i].perf == want.perf, f"replica {i}"
+        assert results[i].phr_value == want.phr_value, f"replica {i}"
+        _assert_snapshots_equal(batch.extract(i), scalar.snapshot(),
                                 f"replica {i}")
 
 
@@ -208,51 +254,51 @@ def test_long_taken_stream_wraps_buffer(config):
     """Streams long enough to wrap the circular PHR buffer stay exact.
 
     The batch engine keeps PHR bits behind a moving origin that recopies
-    every ``slack/2`` taken branches; masked commits desynchronize the
-    per-replica origins so the recopy path runs with mixed offsets.
+    every ``slack/2`` taken branches.  A first run with different trip
+    counts leaves each replica's origin at a different offset; the
+    second run's loops are long enough to wrap several times, so the
+    recopy runs while the other rows sit at mixed offsets.
     """
-    n = 3
-    rng = DeterministicRng(0x11AB)
-    scalars = [Machine(config) for _ in range(n)]
-    batch = BatchMachine(n, config)
-    for step in range(3 * 2 * config.phr_capacity + 64):
-        mask = [True, step % 2 == 0, step % 3 != 0]
-        pc = rng.value_bits(16)
-        target = rng.value_bits(18)
-        for i in range(n):
-            if mask[i]:
-                scalars[i].record_taken_branch(pc, target)
-        batch.record_taken_branch(pc, target, mask=mask)
-        if step % 251 == 0:
-            for i in range(n):
-                assert batch.phr_value(i) == scalars[i].phr().value, \
-                    f"step {step} replica {i}"
-    for i in range(n):
-        _assert_snapshots_equal(batch.extract(i), scalars[i].snapshot(),
+    program = _counted_loop()
+    desync = [1, 9, 4]
+    longest = 3 * 2 * config.phr_capacity + 64
+    trips = [longest, longest - 7, longest // 2 + 3]
+    batch = BatchMachine(len(trips), config)
+    batch.run_batch(program, [_trips(t) for t in desync])
+    results = batch.run_batch(program, [_trips(t) for t in trips])
+    for i, count in enumerate(trips):
+        scalar, _ = _scalar_run(config, program, _trips(desync[i]))
+        want = scalar.run(program, memory=_trips(count), speculate=False,
+                          trace="full")
+        assert results[i].perf == want.perf, f"replica {i}"
+        assert results[i].phr_value == want.phr_value, f"replica {i}"
+        _assert_snapshots_equal(batch.extract(i), scalar.snapshot(),
                                 f"replica {i}")
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
 def test_snapshot_restore_replays_identically(config):
-    """restore() rewinds to a bit-identical state: same stream, same end."""
+    """load_snapshot rewinds a used batch: same run, same end state."""
+    program = _branchy_program()
+    trainer = Machine(config)
+    trainer.run(program, memory=_provision(3), speculate=False,
+                trace="none")
+    snap = trainer.snapshot()
     n = 3
-    rng = DeterministicRng(0xD0)
-    batch = BatchMachine(n, config)
-    for _ in range(50):
-        pc, target = _random_branch(rng)
-        batch.observe_conditional(pc, target, rng.coin())
-    checkpoint = batch.snapshot()
+    batch = BatchMachine.from_snapshot(config, snap, n)
 
-    def drive(tag):
-        stream_rng = DeterministicRng(0xF00D)
-        for _ in range(80):
-            pc, target = _random_branch(stream_rng)
-            batch.observe_conditional(pc, target,
-                                      stream_rng.coin())
-        return [batch.extract(i) for i in range(n)]
+    def drive():
+        results = batch.run_batch(program,
+                                  [_provision(50 + i) for i in range(n)])
+        return ([(r.perf, r.phr_value) for r in results],
+                [batch.extract(i) for i in range(n)])
 
-    first = drive("first")
-    batch.restore(checkpoint)
-    second = drive("second")
+    first = drive()
+    batch.load_snapshot(snap)
     for i in range(n):
-        _assert_snapshots_equal(first[i], second[i], f"replay replica {i}")
+        _assert_snapshots_equal(batch.extract(i), snap, f"rewound {i}")
+    second = drive()
+    assert first[0] == second[0]
+    for i in range(n):
+        _assert_snapshots_equal(first[1][i], second[1][i],
+                                f"replay replica {i}")

@@ -4,9 +4,9 @@ The vectorized ``m1-phr`` and ``gshare-tournament`` backends
 (:mod:`repro.batch.backends`) are pinned bit-identical to their scalar
 families by ``tests/test_batch_equivalence.py``; this module freezes
 their *absolute* behaviour the same way ``tests/test_predictor_golden.py``
-freezes the Intel scalar model.  Each case drives a deterministic
-workload through :class:`repro.batch.BatchMachine` and digests the
-mispredict stream plus every replica's extracted
+freezes the Intel scalar model.  Each case runs a deterministic
+program through :class:`repro.batch.BatchMachine` and digests the
+per-replica results plus every replica's extracted
 :class:`~repro.cpu.machine.MachineSnapshot` into SHA-256.  The hashes in
 ``tests/golden/batch_backend_golden.json`` were captured by running this
 module as a script on the tree that introduced the backends::
@@ -45,7 +45,7 @@ FAMILY_CONFIGS = {
     "gshare-tournament": TOURNAMENT_BASELINE,
 }
 
-#: Replicas per case -- enough for masked commits to desynchronize state.
+#: Replicas per case -- enough for divergent inputs to desynchronize state.
 REPLICAS = 3
 
 
@@ -73,36 +73,6 @@ def _digest(stream, batch: BatchMachine) -> str:
                tuple(_snapshot_payload(batch.extract(i))
                      for i in range(batch.n)))
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-
-
-def _functional_case(config) -> str:
-    """Masked/vector commits, history seeding and taken-branch records."""
-    batch = BatchMachine(REPLICAS, config)
-    rng = DeterministicRng(0x601D + len(config.predictor_model))
-    stream = []
-    for step in range(160):
-        choice = rng.integer(0, 9)
-        if choice < 6:
-            pcs = [rng.value_bits(16) for _ in range(REPLICAS)]
-            targets = [rng.value_bits(18) for _ in range(REPLICAS)]
-            takens = [rng.coin() for _ in range(REPLICAS)]
-            mask = ([rng.coin() for _ in range(REPLICAS)]
-                    if choice == 5 else None)
-            mis = batch.observe_conditional(pcs, targets, takens, mask=mask)
-            stream.append(("cond", tuple(bool(m) for m in mis)))
-        elif choice < 8:
-            batch.record_taken_branch(rng.value_bits(16),
-                                      rng.value_bits(18))
-            stream.append(("taken",))
-        elif choice == 8 and step % 2:
-            batch.set_phr_values([rng.value_bits(24)
-                                  for _ in range(REPLICAS)])
-            stream.append(("seed", tuple(batch.phr_values())))
-        else:
-            batch.clear_phr()
-            stream.append(("clear",))
-    stream.append(("final-phr", tuple(batch.phr_values())))
-    return _digest(stream, batch)
 
 
 def _program_case(config) -> str:
@@ -147,7 +117,6 @@ def compute_golden() -> dict:
     cases = {}
     for model_id, config in sorted(FAMILY_CONFIGS.items()):
         key = model_id.replace("-", "_")
-        cases[f"functional_{key}"] = _functional_case(config)
         cases[f"program_{key}"] = _program_case(config)
     return cases
 
@@ -160,9 +129,8 @@ def _load_golden() -> dict:
 
 
 GOLDEN_CASE_NAMES = tuple(
-    f"{kind}_{model_id.replace('-', '_')}"
+    f"program_{model_id.replace('-', '_')}"
     for model_id in sorted(FAMILY_CONFIGS)
-    for kind in ("functional", "program")
 )
 
 

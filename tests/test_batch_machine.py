@@ -1,16 +1,17 @@
 """API contract tests for :class:`repro.batch.BatchMachine`.
 
 The bit-identity pinning lives in ``tests/test_batch_equivalence.py``;
-this module covers the functional surface: argument validation, masks,
-PHR seeding, snapshot discipline and the error paths the batch contract
-promises (no speculation, no indirect kinds, supported configs only).
-The per-family sections parametrize the capability gates, epoch-stamped
-restores, poisoning-on-failure, chunked replay, and the cross-family
-snapshot guard over every registered batch backend.
+this module covers the rest of the surface: argument validation, the
+per-replica input forms, snapshot import and extraction, and the error
+paths the batch contract promises (no speculation, supported configs
+only).  The per-family sections parametrize the capability gates,
+poisoning-on-failure, chunked replay, and the cross-family snapshot
+guard over every registered batch backend.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -19,7 +20,6 @@ np = pytest.importorskip("numpy")
 
 from repro.batch import (
     BatchMachine,
-    BatchSnapshot,
     BatchStateError,
     batch_backend_ids,
     supports_config,
@@ -34,7 +34,7 @@ from repro.cpu.config import (
 from repro.cpu.machine import Machine
 from repro.cpu.serialize import SnapshotFormatError
 from repro.isa.builder import ProgramBuilder
-from repro.isa.interpreter import BranchKind
+from repro.isa.interpreter import CpuState
 from repro.isa.memory import Memory
 from repro.utils.rng import DeterministicRng
 
@@ -72,62 +72,55 @@ def test_run_batch_rejects_speculation():
         batch.run_batch(_tiny_program(), speculate=True)
 
 
-def test_record_taken_branch_rejects_indirect_kind():
-    batch = BatchMachine(2)
-    with pytest.raises(ValueError):
-        batch.record_taken_branch(0x1000, 0x2000, kind=BranchKind.INDIRECT)
-
-
 def test_run_batch_rejects_wrong_input_count():
     batch = BatchMachine(3)
     with pytest.raises(ValueError):
         batch.run_batch(_tiny_program(), inputs=[None, None])
 
 
-def test_mask_must_match_batch_width():
-    batch = BatchMachine(3)
-    with pytest.raises(ValueError):
-        batch.observe_conditional(0x10, 0x20, True, mask=[True, False])
-
-
 def test_restore_rejects_foreign_width():
-    small = BatchMachine(2)
-    snap = small.snapshot()
-    big = BatchMachine(3)
-    with pytest.raises(ValueError):
-        big.restore(snap)
-    assert isinstance(snap, BatchSnapshot)
+    """A snapshot of another PHR width is refused, not truncated."""
+    wide = dataclasses.replace(RAPTOR_LAKE,
+                               phr_capacity=RAPTOR_LAKE.phr_capacity + 8)
+    snap = Machine(wide).snapshot()
+    batch = BatchMachine(2)
+    with pytest.raises(ValueError, match="doublet PHR"):
+        batch.load_snapshot(snap)
 
 
-def test_set_phr_values_scalar_and_vector():
-    batch = BatchMachine(3)
-    batch.set_phr_values(0xABC)
-    assert batch.phr_values() == [0xABC, 0xABC, 0xABC]
-    batch.set_phr_values([1, 2, 3])
-    assert batch.phr_values() == [1, 2, 3]
-    batch.clear_phr()
-    assert batch.phr_values() == [0, 0, 0]
-    with pytest.raises(ValueError):
-        batch.set_phr_values([1, 2])
+def _jump_program(conditional: bool = True):
+    """One taken jump, then (optionally) one not-taken conditional."""
+    b = ProgramBuilder()
+    b.mov_imm("rax", 0)
+    b.jmp("over")
+    b.label("over")
+    if conditional:
+        b.cmp("rax", imm=1)
+        b.jeq("end")
+        b.label("end")
+    b.halt()
+    return b.build()
 
 
 def test_phr_value_tracks_taken_branches():
+    program = _jump_program()
     batch = BatchMachine(2)
-    scalar = Machine()
-    batch.record_taken_branch(0x4000, 0x5000)
-    scalar.record_taken_branch(0x4000, 0x5000)
-    assert batch.phr_value(0) == scalar.phr().value
-    assert batch.phr_value(1) == scalar.phr().value
-    # Not-taken conditionals leave the PHR untouched.
-    before = batch.phr_value(0)
-    batch.observe_conditional(0x4100, 0x5100, False)
-    assert batch.phr_value(0) == before
+    results = batch.run_batch(program)
+    want = Machine().run(program, speculate=False)
+    assert want.phr_value != 0
+    for i in range(2):
+        assert batch.phr_value(i) == want.phr_value
+        assert results[i].phr_value == want.phr_value
+    # Not-taken conditionals leave the PHR untouched: the jump alone
+    # leaves the same value.
+    jump_only = BatchMachine(1)
+    jump_only.run_batch(_jump_program(conditional=False))
+    assert jump_only.phr_value(0) == batch.phr_value(0)
 
 
 def test_extract_is_idempotent_mid_stream():
     batch = BatchMachine(2)
-    for step in range(40):
-        batch.observe_conditional(0x100 + 16 * step, 0x900, step % 3 == 0)
+    batch.run_batch(_loop_program(12), [_provision(1), _provision(2)])
     first = batch.extract(1)
     second = batch.extract(1)
     assert first == second
@@ -136,30 +129,32 @@ def test_extract_is_idempotent_mid_stream():
 
 
 def test_per_replica_vector_arguments():
-    """Vector pc/target/taken arguments apply element-wise."""
-    n = 3
-    batch = BatchMachine(n)
-    scalars = [Machine() for _ in range(n)]
-    pcs = [0x1000, 0x2000, 0x3000]
-    targets = [0x1100, 0x2200, 0x3300]
-    takens = [True, False, True]
-    got = batch.observe_conditional(pcs, targets, takens)
-    want = [scalars[i].observe_conditional(pcs[i], targets[i], takens[i])
-            for i in range(n)]
-    assert list(got) == want
-    for i in range(n):
-        assert batch.phr_value(i) == scalars[i].phr().value
+    """Each item of ``inputs`` applies to its own replica, in any form."""
+    program = _loop_program(16)
+    state = CpuState()
+    inputs = [None, _provision(3), (state, _provision(4)),
+              (None, _provision(5))]
+    batch = BatchMachine(len(inputs))
+    results = batch.run_batch(program, inputs)
+    memories = [Memory(), _provision(3), _provision(4), _provision(5)]
+    for i, memory in enumerate(memories):
+        want = Machine().run(program, memory=memory, speculate=False)
+        assert results[i].perf == want.perf, f"replica {i}"
+        assert results[i].phr_value == want.phr_value, f"replica {i}"
+        assert results[i].state.regs == want.state.regs, f"replica {i}"
+    # A caller's CpuState is the state the run mutates.
+    assert results[2].state is state
 
 
 def test_snapshot_is_isolated_from_later_mutation():
     batch = BatchMachine(2)
-    batch.observe_conditional(0x700, 0x800, True)
-    snap = batch.snapshot()
-    reference = batch.extract(0)
-    for step in range(25):
-        batch.observe_conditional(0x700 + 4 * step, 0x800, step % 2 == 0)
-    batch.restore(snap)
-    assert batch.extract(0) == reference
+    program = _loop_program(12)
+    batch.run_batch(program, [_provision(7), _provision(8)])
+    snap = batch.extract(0)
+    expected = copy.deepcopy(snap)
+    batch.run_batch(program, [_provision(9), _provision(10)])
+    assert snap == expected
+    assert batch.extract(0) != snap
 
 
 # ----------------------------------------------------------------------
@@ -258,42 +253,20 @@ def test_from_snapshot_rejects_cross_family_snapshot(config):
 
 
 @_family_param(PREDICTOR_LAB_MACHINES)
-def test_epoch_stamped_restore_roundtrip(config):
-    """Both restore paths -- fast same-epoch and full shadow -- are exact."""
-    batch = BatchMachine(2, config)
-    rng = DeterministicRng(0xE9)
-    for _ in range(30):
-        batch.observe_conditional(rng.value_bits(16), rng.value_bits(18),
-                                  rng.coin())
-    first_snap = batch.snapshot()
-    first_state = [batch.extract(i) for i in range(2)]
-    for _ in range(30):
-        batch.observe_conditional(rng.value_bits(16), rng.value_bits(18),
-                                  rng.coin())
-    second_snap = batch.snapshot()
-    second_state = [batch.extract(i) for i in range(2)]
-    assert second_snap.epoch != first_snap.epoch
-
-    batch.restore(first_snap)
-    assert [batch.extract(i) for i in range(2)] == first_state
-    batch.restore(second_snap)
-    assert [batch.extract(i) for i in range(2)] == second_state
-
-
-@_family_param(PREDICTOR_LAB_MACHINES)
 def test_failed_replica_poisons_batch_until_restore(config):
     """A mid-batch interpreter error refuses all state access per family."""
     program = _loop_program(40)
-    batch = BatchMachine(2, config)
-    pristine = batch.snapshot()
+    pristine = Machine(config).snapshot()
+    batch = BatchMachine.from_snapshot(config, pristine, 2)
     with pytest.raises(Exception) as excinfo:
         batch.run_batch(program, [_provision(1), Memory()],
                         max_instructions=50, on_limit="raise")
     assert not isinstance(excinfo.value, BatchStateError)
-    for attempt in (batch.snapshot, lambda: batch.extract(0)):
+    for attempt in (lambda: batch.run_batch(program),
+                    lambda: batch.extract(0)):
         with pytest.raises(BatchStateError):
             attempt()
-    batch.restore(pristine)
+    batch.load_snapshot(pristine)
     results = batch.run_batch(program, [_provision(5), _provision(6)])
     for i in range(2):
         scalar = Machine(config)

@@ -51,14 +51,17 @@ class TestCleanSweep:
         pytest.importorskip("numpy")
         import repro.batch as batch_module
 
+        from repro.cpu.machine import Machine
+
         real = batch_module.BatchMachine
 
         class Perturbed(real):
             def run_batch(self, *args, **kwargs):
                 results = super().run_batch(*args, **kwargs)
-                # Skew predictor state after the run: the extracted
-                # snapshots no longer match the scalar machines.
-                self.record_taken_branch(0x1234, 0x5678)
+                # Rewind every replica to a fresh machine after the run:
+                # the extracted snapshots no longer match the scalar
+                # machines.
+                self.load_snapshot(Machine(self.config).snapshot())
                 return results
 
         monkeypatch.setattr(batch_module, "BatchMachine", Perturbed)

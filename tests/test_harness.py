@@ -145,13 +145,6 @@ class TestSerialPath:
         report = run_trials(_echo_trial, 0, workers=1)
         assert report.values == [] and report.count == 0
 
-    def test_progress_reaches_total(self):
-        ticks = []
-        run_trials(_echo_trial, 9, workers=1, chunk_size=2,
-                   progress=lambda done, total: ticks.append((done, total)))
-        assert ticks[-1] == (9, 9)
-        assert [d for d, _ in ticks] == sorted(d for d, _ in ticks)
-
     def test_seed_changes_streams(self):
         first = run_trials(_echo_trial, 6, seed=1, workers=1).values
         second = run_trials(_echo_trial, 6, seed=2, workers=1).values

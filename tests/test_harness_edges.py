@@ -1,9 +1,9 @@
 """Scheduling edge cases and failure paths of the trial harness.
 
 Covers the corners ``tests/test_harness.py`` leaves open: degenerate
-chunk shapes, progress accounting, trials that legitimately return
-``None``, and worker processes that die outright (``os._exit``) --
-mid-chunk or while chunks are still being submitted.
+chunk shapes, trials that legitimately return ``None``, and worker
+processes that die outright (``os._exit``) -- mid-chunk or while
+chunks are still being submitted.
 
 All trials live at module level so the fork-context pool can pickle
 them by qualified name.
@@ -57,25 +57,6 @@ def test_single_trial_many_workers():
     assert report.completed == 1
     assert report.values[0] == _value_trial(None, 0,
                                             trial_rng(DEFAULT_SEED, 0))
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_progress_totals_sum_to_count(workers):
-    calls = []
-    report = run_trials(_value_trial, 10, workers=workers, chunk_size=3,
-                        progress=lambda done, total: calls.append(
-                            (done, total)))
-    assert report.count == 10
-    assert all(total == 10 for _, total in calls)
-    assert len(calls) == report.chunks == 4
-    # Monotone done counts ending exactly at count; increments are the
-    # chunk sizes, so they sum to count with no double-counting.
-    dones = [done for done, _ in calls]
-    assert dones == sorted(dones)
-    assert dones[-1] == 10
-    increments = [after - before
-                  for before, after in zip([0] + dones, dones)]
-    assert sum(increments) == 10
 
 
 def test_none_result_is_not_a_failure():
@@ -135,10 +116,8 @@ def test_worker_death_during_submission_is_collected(monkeypatch):
     every chunk after it, instead of leaking ``BrokenProcessPool``."""
     monkeypatch.setattr(runner, "ProcessPoolExecutor",
                         _PoolDyingAtSecondSubmit)
-    calls = []
     report = run_trials(_value_trial, 6, workers=2, chunk_size=2,
-                        on_error="collect",
-                        progress=lambda done, total: calls.append(done))
+                        on_error="collect")
     assert report.count == 6
     assert report.parallel
     # The one submitted chunk ran; the two refused ones are failures.
@@ -150,7 +129,6 @@ def test_worker_death_during_submission_is_collected(monkeypatch):
         assert "BrokenProcessPool" in failure.error
         assert report.values[failure.index] is None
     assert report.completed == 2
-    assert calls[-1] == 6
 
 
 def test_worker_death_during_submission_raises_under_default_mode(

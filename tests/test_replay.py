@@ -225,12 +225,13 @@ class TestValidation:
         with pytest.raises(ReplayError):
             engine.checkpoint("b", lambda: None, parent="a")
 
-    def test_run_batch_and_stats_dict(self):
+    def test_evaluate_and_stats_dict(self):
         machine = Machine(RAPTOR_LAKE)
         engine = ReplayEngine(machine)
         key = engine.checkpoint("p", make_builder(machine, 0x1000, 0x2000,
                                                   []))
-        values = engine.run_batch(key, [lambda: 1, lambda: 2, lambda: 3])
+        values = [engine.evaluate(key, suffix)
+                  for suffix in (lambda: 1, lambda: 2, lambda: 3)]
         assert values == [1, 2, 3]
         stats = engine.stats.as_dict()
         assert stats["suffix_runs"] == 3

@@ -7,8 +7,8 @@ Pins the trace-once/replay-many contract of ARCHITECTURE.md §12:
   produced;
 * a mutated cached trace is detected, evicted, counted as a divergence,
   and degrades to a re-capture -- never a wrong replay;
-* a replica raising mid-batch poisons the engine until restore
-  (the ISSUE 8 ``BatchStateError`` regression).
+* a replica raising mid-batch poisons the engine until
+  ``load_snapshot`` (the ``BatchStateError`` regression).
 """
 
 from __future__ import annotations
@@ -87,14 +87,14 @@ def test_trace_cache_warm_hits_are_bit_identical(config):
     inputs_a = [_provision(30 + i) for i in range(n)]
     inputs_b = [_provision(30 + i) for i in range(n)]
 
-    batch = BatchMachine(n, config)
-    pristine = batch.snapshot()
+    pristine = Machine(config).snapshot()
+    batch = BatchMachine.from_snapshot(config, pristine, n)
     cold = batch.run_batch(program, inputs_a, trace="full",
                            trace_cache=cache)
     assert cache.stats.hits == 0
     assert cache.stats.puts == n
 
-    batch.restore(pristine)
+    batch.load_snapshot(pristine)
     warm = batch.run_batch(program, inputs_b, trace="full",
                            trace_cache=cache)
     assert cache.stats.hits == n
@@ -110,10 +110,10 @@ def test_trace_cache_distinguishes_inputs():
     """Different plaintext, different content key: no false hits."""
     program = _branchy_program()
     cache = TraceCache()
-    batch = BatchMachine(1)
-    pristine = batch.snapshot()
+    pristine = Machine(RAPTOR_LAKE).snapshot()
+    batch = BatchMachine.from_snapshot(RAPTOR_LAKE, pristine, 1)
     batch.run_batch(program, [_provision(1)], trace_cache=cache)
-    batch.restore(pristine)
+    batch.load_snapshot(pristine)
     batch.run_batch(program, [_provision(2)], trace_cache=cache)
     assert cache.stats.hits == 0
     assert cache.stats.puts == 2
@@ -123,8 +123,8 @@ def test_mutated_trace_is_evicted_not_replayed():
     """A corrupted entry fails verify, counts a divergence, re-captures."""
     program = _branchy_program()
     cache = TraceCache()
-    batch = BatchMachine(1)
-    pristine = batch.snapshot()
+    pristine = Machine(RAPTOR_LAKE).snapshot()
+    batch = BatchMachine.from_snapshot(RAPTOR_LAKE, pristine, 1)
     cold = batch.run_batch(program, [_provision(5)], trace_cache=cache)
 
     # Corrupt the stored event stream behind the cache's back.
@@ -135,14 +135,14 @@ def test_mutated_trace_is_evicted_not_replayed():
     with pytest.raises(TraceDivergenceError):
         trace.verify(key=key)
 
-    batch.restore(pristine)
+    batch.load_snapshot(pristine)
     again = batch.run_batch(program, [_provision(5)], trace_cache=cache)
     assert cache.stats.divergences == 1
     _assert_results_equal(again[0], cold[0], "recaptured")
     # The re-capture repopulated the cache with a *valid* entry under
     # the same content address.
     cache._entries.peek(key).verify(key=key)
-    batch.restore(pristine)
+    batch.load_snapshot(pristine)
     warm = batch.run_batch(program, [_provision(5)], trace_cache=cache)
     assert cache.stats.hits == 1
     _assert_results_equal(warm[0], cold[0], "warm after heal")
@@ -205,15 +205,15 @@ def test_cache_digest_memo_tracks_mutations_and_restores():
 
 
 # ----------------------------------------------------------------------
-# poisoning (ISSUE 8 satellite S1)
+# poisoning
 # ----------------------------------------------------------------------
 
 def test_failed_replica_poisons_batch_until_restore():
     """A mid-batch interpreter error leaves no half-updated state usable."""
     n = 3
     program = _branchy_program()
-    batch = BatchMachine(n, RAPTOR_LAKE)
-    pristine = batch.snapshot()
+    pristine = Machine(RAPTOR_LAKE).snapshot()
+    batch = BatchMachine.from_snapshot(RAPTOR_LAKE, pristine, n)
 
     # Replica 1's input block is absent entirely: its run dies inside
     # phase 1 after earlier replicas already interpreted.
@@ -227,14 +227,14 @@ def test_failed_replica_poisons_batch_until_restore():
     for attempt in (
         lambda: batch.run_batch(program, [_provision(1), _provision(2),
                                           _provision(3)]),
-        lambda: batch.snapshot(),
         lambda: batch.extract(0),
     ):
         with pytest.raises(BatchStateError):
             attempt()
 
-    # Restore clears the poison and the engine is bit-exact again.
-    batch.restore(pristine)
+    # Reloading a snapshot clears the poison and the engine is bit-exact
+    # again.
+    batch.load_snapshot(pristine)
     results = batch.run_batch(program, [_provision(7 + i) for i in range(n)])
     for i in range(n):
         scalar = Machine(RAPTOR_LAKE)
